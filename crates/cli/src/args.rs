@@ -106,7 +106,8 @@ serve options:
 fsck and salvage work on batch containers, streamed containers, and
 checkpoint stores alike (dispatched on the file's magic; a directory
 is treated as a v3 sharded store). fsck exits 0 for a clean or legacy
-file and 3 when it finds damage.";
+file and 3 when it finds damage. Salvaging a store of any version
+writes OUT as a v3 store directory.";
 
 /// How `--stats` output should be rendered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -724,25 +724,30 @@ fn print_store_fsck_report(input: &Path, report: &StoreFsckReport) {
     );
 }
 
+/// Salvage a store of any version into a fresh version-3 directory.
+fn salvage_store(input: &Path, output: &Path) -> Result<(), String> {
+    let report = isobar_store::salvage_store(input, output)
+        .map_err(|e| format!("{}: {e}", input.display()))?;
+    eprintln!(
+        "{} -> {} (version-3 store): {} entries recovered, {} lost{}",
+        input.display(),
+        output.display(),
+        report.entries_recovered,
+        report.entries_lost,
+        if report.index_rebuilt {
+            " (index rebuilt from a record walk)"
+        } else {
+            ""
+        },
+    );
+    Ok(())
+}
+
 /// Recover every intact chunk, frame, or record from a damaged file
 /// into a fresh, fully valid output.
 fn salvage(input: &Path, output: &Path) -> Result<(), String> {
     if input.is_dir() {
-        let report = isobar_store::salvage_store(input, output)
-            .map_err(|e| format!("{}: {e}", input.display()))?;
-        eprintln!(
-            "{} -> {}: {} entries recovered, {} lost{}",
-            input.display(),
-            output.display(),
-            report.entries_recovered,
-            report.entries_lost,
-            if report.index_rebuilt {
-                " (manifest unusable; rebuilt from a segment walk)"
-            } else {
-                ""
-            },
-        );
-        return Ok(());
+        return salvage_store(input, output);
     }
     let data = read(input)?;
     match file_kind(&data) {
@@ -775,23 +780,7 @@ fn salvage(input: &Path, output: &Path) -> Result<(), String> {
             );
             Ok(())
         }
-        Some(FileKind::Store) => {
-            let report = isobar_store::salvage_store(input, output)
-                .map_err(|e| format!("{}: {e}", input.display()))?;
-            eprintln!(
-                "{} -> {}: {} entries recovered, {} lost{}",
-                input.display(),
-                output.display(),
-                report.entries_recovered,
-                report.entries_lost,
-                if report.index_rebuilt {
-                    " (index rebuilt from a record walk)"
-                } else {
-                    ""
-                },
-            );
-            Ok(())
-        }
+        Some(FileKind::Store) => salvage_store(input, output),
         None => Err(format!(
             "{}: not an ISOBAR container, stream, or store (unrecognized magic)",
             input.display()
@@ -1219,26 +1208,33 @@ mod tests {
         }
     }
 
+    /// A version-2 single-file store written by an earlier release.
+    const V2_STORE: &[u8] = include_bytes!("../../store/tests/fixtures/v2_demo.isst");
+
     #[test]
     fn fsck_and_salvage_handle_stores() {
         let store_path = tmp("fsck-store.isst");
-        let salvaged = tmp("fsck-store-salvaged.isst");
-        let ds = isobar_datasets::catalog::spec("gts_phi_l")
-            .unwrap()
-            .generate(10_000, 1);
-        let mut writer =
-            isobar_store::StoreWriter::create(&store_path, IsobarOptions::default()).unwrap();
-        writer.put(1, "density", &ds.bytes, 8).unwrap();
-        writer.put(2, "density", &ds.bytes, 8).unwrap();
-        writer.close().unwrap();
+        let salvaged = tmp("fsck-store-salvaged");
+        let _ = fs::remove_dir_all(&salvaged);
+        fs::write(&store_path, V2_STORE).unwrap();
 
         assert_eq!(fsck(&store_path).unwrap(), 0);
         salvage(&store_path, &salvaged).unwrap();
+        // Salvage writes the current format: a version-3 directory.
+        assert!(salvaged.is_dir());
         assert_eq!(fsck(&salvaged).unwrap(), 0);
-
-        for p in [&store_path, &salvaged] {
-            let _ = fs::remove_file(p);
+        let original = isobar_store::StoreReader::open(&store_path).unwrap();
+        let restored = isobar_store::StoreReader::open(&salvaged).unwrap();
+        assert_eq!(restored.entries().len(), original.entries().len());
+        for entry in original.entries() {
+            assert_eq!(
+                restored.get(entry.step, &entry.name).unwrap(),
+                original.get(entry.step, &entry.name).unwrap()
+            );
         }
+
+        let _ = fs::remove_file(&store_path);
+        let _ = fs::remove_dir_all(&salvaged);
     }
 
     #[test]
@@ -1283,21 +1279,21 @@ mod tests {
         let dir = tmp("migrate-dst-v3");
         let output = tmp("migrate-out.bin");
         let _ = fs::remove_dir_all(&dir);
-        let ds = isobar_datasets::catalog::spec("gts_phi_l")
-            .unwrap()
-            .generate(10_000, 3);
-        let mut writer = isobar_store::StoreWriter::create(&old, IsobarOptions::default()).unwrap();
-        writer.put(0, "density", &ds.bytes, 8).unwrap();
-        writer.put(1, "density", &ds.bytes, 8).unwrap();
-        writer.close().unwrap();
+        fs::write(&old, V2_STORE).unwrap();
+        let original = isobar_store::StoreReader::open(&old).unwrap();
 
         store_migrate(&old, &dir, 2).unwrap();
         let reader = isobar_store::StoreReader::open(&dir).unwrap();
         assert_eq!(reader.version(), 3);
-        assert_eq!(reader.entries().len(), 2);
+        assert_eq!(reader.entries().len(), original.entries().len());
         drop(reader);
-        store_get(&dir, &output, "density", 1, true).unwrap();
-        assert_eq!(fs::read(&output).unwrap(), ds.bytes);
+        for entry in original.entries() {
+            store_get(&dir, &output, &entry.name, entry.step, true).unwrap();
+            assert_eq!(
+                fs::read(&output).unwrap(),
+                original.get(entry.step, &entry.name).unwrap()
+            );
+        }
         // Migrating an already-v3 store is refused.
         assert!(store_migrate(&dir, &tmp("never-v3"), 2).is_err());
 

@@ -33,7 +33,7 @@ use isobar_codecs::{codec_for, CompressionLevel};
 use isobar_float_codecs::{Dims, Fpc, FpzipLike};
 use isobar_server::protocol::{encode_request, read_response, FrameError, Request};
 use isobar_server::{serve, Client, Opcode, ServeOptions, Status};
-use isobar_store::{StoreReader, StoreWriter};
+use isobar_store::StoreReader;
 
 /// Fixed allocation headroom a decode call may use regardless of input
 /// size: covers prediction tables (FPC decodes with up to 16 MiB of
@@ -322,27 +322,32 @@ fn stream_layer() -> Layer {
     }
 }
 
-fn store_layer() -> Layer {
+/// The store layer's pool: a version-2 single-file store written by an
+/// earlier release (store files are read-only now) with the small
+/// options and the three variables of [`store_pool_vars`].
+const STORE_POOL: &[u8] = include_bytes!("../../store/tests/fixtures/v2_fuzz_pool.isst");
+
+/// `(step, name, payload)` of every variable in [`STORE_POOL`],
+/// regenerated.
+fn store_pool_vars() -> Vec<(u32, &'static str, Vec<u8>)> {
     let mut rng = Rng::new(0x5708E);
-    let vars: Vec<(u32, &'static str, Vec<u8>)> = vec![
+    vec![
         (0, "density", smooth_f64(512)),
         (0, "potential", mixed_u64(512, &mut rng)),
         (1, "density", noise(2048, &mut rng)),
-    ];
-    let pool_path =
-        std::env::temp_dir().join(format!("isobar-fuzz-pool-{}.isst", std::process::id()));
-    let mut writer = StoreWriter::create(&pool_path, small_options()).expect("pool store create");
-    for (step, name, data) in &vars {
-        writer.put(*step, name, data, 8).expect("pool store put");
-    }
-    writer.close().expect("pool store close");
-    let bytes = std::fs::read(&pool_path).expect("pool store read");
-    let _ = std::fs::remove_file(&pool_path);
+    ]
+}
+
+fn store_layer() -> Layer {
+    let vars = store_pool_vars();
     let original: Vec<u8> = vars
         .iter()
         .flat_map(|(_, _, d)| d.iter().copied())
         .collect();
-    let pool = vec![Artifact { bytes, original }];
+    let pool = vec![Artifact {
+        bytes: STORE_POOL.to_vec(),
+        original,
+    }];
 
     let decode_path =
         std::env::temp_dir().join(format!("isobar-fuzz-decode-{}.isst", std::process::id()));
@@ -794,5 +799,29 @@ fn fpzip_layer() -> Layer {
                 Err(_) => Ok(false),
             },
         ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn store_pool_fixture_is_pinned_and_decodes_bit_exactly() {
+        assert_eq!(
+            isobar_codecs::xxhash::xxh64(STORE_POOL, 0),
+            0xf98e_9ba9_a228_df8f,
+            "fixture bytes changed"
+        );
+        let path =
+            std::env::temp_dir().join(format!("isobar-fuzz-pool-{}.isst", std::process::id()));
+        std::fs::write(&path, STORE_POOL).unwrap();
+        let reader = StoreReader::open(&path).unwrap();
+        let vars = store_pool_vars();
+        assert_eq!(reader.entries().len(), vars.len());
+        for (step, name, data) in &vars {
+            assert_eq!(&reader.get(*step, name).unwrap(), data, "{name}@{step}");
+        }
+        let _ = std::fs::remove_file(&path);
     }
 }

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! isobar-fuzz-harness [--iters N] [--seed HEX] [--layer NAME]... [--list] [--kernels scalar|auto]
-//! isobar-fuzz-harness --crash-sweep [--seed HEX]
 //! isobar-fuzz-harness --crash-sweep-sharded [--seed HEX]
 //! isobar-fuzz-harness --serve-crash-sweep [--seed HEX]
 //! isobar-fuzz-harness --store-stress [--seed HEX]
@@ -10,9 +9,9 @@
 //!
 //! Exits 0 when every layer completes its iterations with zero panics
 //! and zero allocation-bound violations; exits 1 with a reproducible
-//! one-line report otherwise. `--crash-sweep` instead runs the store
-//! commit-protocol crash-injection sweep, `--crash-sweep-sharded` the
-//! version-3 two-phase manifest-commit sweep (see the `crash` module),
+//! one-line report otherwise. `--crash-sweep-sharded` instead runs the
+//! store's two-phase manifest-commit crash-injection sweep, once per
+//! shard count in `crash::SHARDED_SWEEP_SHARDS` (see the `crash` module),
 //! `--serve-crash-sweep` the serve daemon's acked-means-durable sweep
 //! over the write-ahead journal (see the `serve_crash` module), and
 //! `--store-stress` the concurrent producer/reader storm over one
@@ -31,7 +30,6 @@ fn main() {
     let mut seed: u64 = DEFAULT_SEED;
     let mut selected: Vec<String> = Vec::new();
     let mut list = false;
-    let mut crash_sweep = false;
     let mut crash_sweep_sharded = false;
     let mut serve_crash_sweep = false;
     let mut store_stress = false;
@@ -61,7 +59,6 @@ fn main() {
                 isobar::set_kernels(selection);
             }
             "--list" => list = true,
-            "--crash-sweep" => crash_sweep = true,
             "--crash-sweep-sharded" => crash_sweep_sharded = true,
             "--serve-crash-sweep" => serve_crash_sweep = true,
             "--store-stress" => store_stress = true,
@@ -71,31 +68,20 @@ fn main() {
         i += 1;
     }
 
-    if crash_sweep {
-        match crash::crash_sweep(seed) {
-            Ok(o) => {
-                println!(
-                    "crash-sweep    {} kill points, {} views checked: {} old, {} new — commit protocol holds",
-                    o.kill_points, o.views_checked, o.saw_old, o.saw_new
-                );
-            }
-            Err(e) => {
-                eprintln!("FAIL crash-sweep (seed {seed:#018x}): {e}");
-                std::process::exit(1);
-            }
-        }
-    }
     if crash_sweep_sharded {
-        match crash::crash_sweep_sharded(seed) {
-            Ok(o) => {
-                println!(
-                    "crash-sweep-v3 {} kill points, {} views checked: {} old, {} new — two-phase manifest commit holds",
-                    o.kill_points, o.views_checked, o.saw_old, o.saw_new
-                );
-            }
-            Err(e) => {
-                eprintln!("FAIL crash-sweep-sharded (seed {seed:#018x}): {e}");
-                std::process::exit(1);
+        for shards in crash::SHARDED_SWEEP_SHARDS {
+            match crash::crash_sweep_sharded(seed, shards) {
+                Ok(o) => {
+                    println!(
+                        "crash-sweep-v3 {shards} shard{} {} kill points, {} views checked: {} old, {} new — two-phase manifest commit holds",
+                        if shards == 1 { "" } else { "s" },
+                        o.kill_points, o.views_checked, o.saw_old, o.saw_new
+                    );
+                }
+                Err(e) => {
+                    eprintln!("FAIL crash-sweep-sharded {shards} shards (seed {seed:#018x}): {e}");
+                    std::process::exit(1);
+                }
             }
         }
     }
@@ -132,7 +118,7 @@ fn main() {
             }
         }
     }
-    if crash_sweep || crash_sweep_sharded || serve_crash_sweep || store_stress {
+    if crash_sweep_sharded || serve_crash_sweep || store_stress {
         return;
     }
 
@@ -188,7 +174,7 @@ fn usage(msg: &str) -> ! {
         eprintln!("error: {msg}");
     }
     eprintln!(
-        "usage: isobar-fuzz-harness [--iters N] [--seed HEX] [--layer NAME]... [--list] [--crash-sweep] [--crash-sweep-sharded] [--serve-crash-sweep] [--store-stress] [--kernels scalar|auto]"
+        "usage: isobar-fuzz-harness [--iters N] [--seed HEX] [--layer NAME]... [--list] [--crash-sweep-sharded] [--serve-crash-sweep] [--store-stress] [--kernels scalar|auto]"
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }

@@ -1,49 +1,24 @@
 //! The full commit-protocol crash sweep, as an integration test.
 //!
 //! This is the acceptance gate for the store's crash-consistency
-//! claim: a writer killed at every single filesystem-operation
-//! boundary of a store rewrite — including mid-write, with torn
-//! prefixes — must leave a disk from which the verifying reader
-//! recovers exactly the old store or exactly the new one, in every
-//! combination of lost/survived unsynced data and directory
-//! mutations.
+//! claim: a sharded writer killed at every single filesystem-operation
+//! boundary of a new generation's commit — including mid-write, with
+//! torn prefixes — must leave a directory from which the verifying
+//! reader recovers exactly the old generation or exactly the new one,
+//! in every combination of lost/survived unsynced data and directory
+//! mutations. Each shard count in `SHARDED_SWEEP_SHARDS` gets its own
+//! test.
 
 use isobar_fuzz_harness::{crash, DEFAULT_SEED};
 
-#[test]
-fn commit_protocol_survives_kill_at_every_operation() {
-    let outcome = crash::crash_sweep(DEFAULT_SEED)
-        .unwrap_or_else(|e| panic!("crash sweep violation (seed {DEFAULT_SEED:#018x}): {e}"));
-    assert!(
-        outcome.kill_points >= 200,
-        "sweep must cover at least 200 kill points, got {}",
-        outcome.kill_points
-    );
-    assert!(
-        outcome.views_checked >= outcome.kill_points,
-        "every kill point contributes at least one disk view"
-    );
-    // Kills before the commit point must exist (old store survives)
-    // and kills after it must exist (new store lands) — otherwise the
-    // sweep missed the interesting boundary.
-    assert!(outcome.saw_old > 0 && outcome.saw_new > 0);
-}
-
-#[test]
-fn sweep_is_deterministic_in_its_seed() {
-    let a = crash::crash_sweep(7).expect("seed 7 sweep");
-    let b = crash::crash_sweep(7).expect("seed 7 sweep again");
-    assert_eq!(a, b, "same seed must replay the identical sweep");
-}
-
-#[test]
-fn sharded_commit_protocol_survives_kill_at_every_operation() {
-    let outcome = crash::crash_sweep_sharded(DEFAULT_SEED).unwrap_or_else(|e| {
-        panic!("sharded crash sweep violation (seed {DEFAULT_SEED:#018x}): {e}")
+fn assert_sweep_holds(shards: u16) {
+    assert!(crash::SHARDED_SWEEP_SHARDS.contains(&shards));
+    let outcome = crash::crash_sweep_sharded(DEFAULT_SEED, shards).unwrap_or_else(|e| {
+        panic!("{shards}-shard crash sweep violation (seed {DEFAULT_SEED:#018x}): {e}")
     });
     assert!(
         outcome.kill_points >= 40,
-        "sharded sweep must cover the full two-phase commit, got {} kill points",
+        "{shards}-shard sweep must cover the full two-phase commit, got {} kill points",
         outcome.kill_points
     );
     assert!(outcome.views_checked >= outcome.kill_points);
@@ -54,4 +29,14 @@ fn sharded_commit_protocol_survives_kill_at_every_operation() {
     // Kills before the manifest swap leave the old generation; kills
     // after it leave the new one — the sweep must witness both.
     assert!(outcome.saw_old > 0 && outcome.saw_new > 0);
+}
+
+#[test]
+fn sharded_commit_protocol_survives_kill_at_every_operation() {
+    assert_sweep_holds(2);
+}
+
+#[test]
+fn single_shard_commit_protocol_survives_kill_at_every_operation() {
+    assert_sweep_holds(1);
 }

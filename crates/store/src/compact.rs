@@ -17,7 +17,7 @@
 use crate::error::StoreError;
 use crate::format::{is_segment_file_name, MANIFEST_FILE};
 use crate::reader::StoreReader;
-use crate::sharded::{ShardedOptions, ShardedStoreWriter};
+use crate::sharded::{wip_path, ShardedOptions, ShardedStoreWriter};
 use isobar::telemetry::{Counter, Recorder};
 use isobar::IsobarOptions;
 use std::path::{Path, PathBuf};
@@ -196,7 +196,7 @@ fn prune_manifest_to_generation(dir: &Path, generation: u64) -> Result<Vec<Strin
         .collect();
 
     let fs = RealFs;
-    let wip = crate::writer::wip_path(&manifest_path);
+    let wip = wip_path(&manifest_path);
     {
         let mut file = fs.create(&wip)?;
         file.write_all(&pruned.encode())?;

@@ -33,13 +33,6 @@ pub enum StoreError {
     },
     /// A variable name exceeds the 64 KiB format limit.
     NameTooLong(usize),
-    /// The same `(step, variable)` was written twice.
-    Duplicate {
-        /// Time step of the collision.
-        step: u32,
-        /// Variable name of the collision.
-        name: String,
-    },
 }
 
 impl StoreError {
@@ -73,9 +66,6 @@ impl fmt::Display for StoreError {
                     f,
                     "variable name of {len} bytes exceeds the 65535-byte limit"
                 )
-            }
-            StoreError::Duplicate { step, name } => {
-                write!(f, "variable '{name}' already written at step {step}")
             }
         }
     }

@@ -14,7 +14,8 @@
 //!   embeds the whole index (entries carry a segment ordinal) and is
 //!   swapped in atomically, making it the single commit point. See
 //!   [`crate::manifest`] and `docs/FORMAT.md`. Single-file v1/v2
-//!   stores are still fully readable.
+//!   stores are still fully readable, but nothing writes them any
+//!   more.
 
 use crate::error::StoreError;
 use isobar_codecs::xxhash::xxh64;
@@ -23,7 +24,8 @@ use isobar_codecs::xxhash::xxh64;
 pub const MAGIC: [u8; 4] = *b"ISST";
 /// Trailer magic: "ISSX".
 pub const TRAILER_MAGIC: [u8; 4] = *b"ISSX";
-/// Store format version written by the single-file [`crate::StoreWriter`].
+/// Version of the single-file checksummed stores that earlier releases
+/// wrote. Read-only now: every store this crate writes is version 3.
 pub const VERSION: u8 = 2;
 /// The checksum-less store version this build still reads.
 pub const LEGACY_VERSION: u8 = 1;
@@ -67,8 +69,8 @@ pub fn is_segment_file_name(name: &str) -> bool {
 
 /// Serialize the record header that precedes each embedded container:
 /// `name_len u16 | name | step u32 | width u8 | container_len u64`.
-/// Shared by the single-file writer and the segment writers so the
-/// record grammar cannot fork.
+/// Segments use the record grammar of the read-only single-file
+/// format unchanged, so one salvage walk parses both.
 pub fn encode_record_header(name: &str, step: u32, width: u8, container_len: u64) -> Vec<u8> {
     let name = name.as_bytes();
     let mut out = Vec::with_capacity(2 + name.len() + 4 + 1 + 8);

@@ -10,27 +10,26 @@
 //! workflow needs, in the spirit of the ADIOS ecosystem the paper's
 //! authors work in:
 //!
-//! * [`StoreWriter`] — append variables step by step; each variable is
-//!   compressed through the full ISOBAR pipeline as it is written, and
-//!   committed crash-consistently (shadow file + fsync + atomic
-//!   rename; see the [`writer`](StoreWriter) docs).
-//! * [`StoreReader`] — random access by `(step, variable)` without
-//!   touching unrelated data, via a checksummed index at the end of
-//!   the file. Integrity verification is on by default.
-//! * [`fsck_store`] / [`salvage_store`] — damage reporting and
-//!   best-effort recovery of intact records from a damaged store.
-//! * [`ShardedStoreWriter`] — the version-3 *directory* store: N
+//! * [`ShardedStoreWriter`] — the only store writer. It appends
+//!   variables step by step into a version-3 store *directory*: N
 //!   independent segment pipelines (codec thread + I/O thread each, so
-//!   compression overlaps `fdatasync`), committed by a two-phase
-//!   manifest rename. Read back transparently by [`StoreReader`], which
-//!   serves random access via positioned reads (`pread`).
+//!   compression overlaps `fdatasync`), committed crash-consistently by
+//!   a two-phase manifest rename (see the [`ShardedStoreWriter`] docs).
+//! * [`StoreReader`] — random access by `(step, variable)` without
+//!   touching unrelated data, via a checksummed index. Reads version-3
+//!   directories with positioned reads (`pread`) and the single-file
+//!   version-1/2 stores earlier releases wrote. Integrity verification
+//!   is on by default.
+//! * [`fsck_store`] / [`salvage_store`] — damage reporting and
+//!   best-effort recovery of intact records from a damaged store of any
+//!   version, always into a fresh version-3 store.
 //! * [`compact_store`] — reclaim superseded entries and sweep
 //!   unreferenced segment files from a version-3 store.
 //!
-//! # File format (all little-endian)
+//! # Single-file format (versions 1 and 2; read-only, all little-endian)
 //!
 //! ```text
-//! magic "ISST" | version u8            (2 current, 1 legacy)
+//! magic "ISST" | version u8            (2, or 1 for legacy)
 //! repeated records:
 //!   name_len u16 | name bytes | step u32 | width u8 |
 //!   container_len u64 | ISOBAR container
@@ -43,7 +42,9 @@
 //!          magic "ISSX"
 //! ```
 //!
-//! Version-1 stores (no checksums, 16-byte trailer) are still read;
+//! Releases before the sharded store wrote these files; this crate
+//! only reads them (and `isobar store migrate` lifts them to version
+//! 3). Version-1 stores (no checksums, 16-byte trailer) are still read;
 //! their entries surface `checksum == 0` and are reported by fsck as
 //! "legacy, unverifiable".
 //!
@@ -63,19 +64,23 @@
 //! # Example
 //!
 //! ```no_run
-//! use isobar_store::{StoreReader, StoreWriter};
+//! use isobar_store::{ShardedOptions, ShardedStoreWriter, StoreReader};
 //! use isobar::{IsobarOptions, Preference};
 //!
 //! # fn demo(density: &[u8], potential: &[u8]) -> Result<(), isobar_store::StoreError> {
-//! let mut writer = StoreWriter::create("run.isst", IsobarOptions {
-//!     preference: Preference::Speed,
-//!     ..Default::default()
-//! })?;
-//! writer.put(0, "density", density, 8)?;
-//! writer.put(0, "potential", potential, 8)?;
+//! let writer = ShardedStoreWriter::create(
+//!     "run.isst.d",
+//!     IsobarOptions {
+//!         preference: Preference::Speed,
+//!         ..Default::default()
+//!     },
+//!     ShardedOptions::default(),
+//! )?;
+//! writer.put(0, "density", density.to_vec(), 8)?;
+//! writer.put(0, "potential", potential.to_vec(), 8)?;
 //! writer.close()?;
 //!
-//! let reader = StoreReader::open("run.isst")?;
+//! let reader = StoreReader::open("run.isst.d")?;
 //! let restored = reader.get(0, "density")?;
 //! assert_eq!(restored, density);
 //! # Ok(()) }
@@ -85,12 +90,10 @@ mod compact;
 mod error;
 mod format;
 mod manifest;
-mod pipelined;
 mod reader;
 mod salvage;
 mod sharded;
 mod vfs;
-mod writer;
 
 pub use compact::{compact_store, compact_store_background, compact_store_recorded, CompactReport};
 pub use error::StoreError;
@@ -105,11 +108,9 @@ pub use manifest::{
     decode_segment_header, decode_segment_trailer, encode_segment_header, encode_segment_trailer,
     Manifest, ManifestEntry, SegmentMeta,
 };
-pub use pipelined::{PipelinedStoreWriter, PipelinedWorkerError};
 pub use reader::StoreReader;
 pub use salvage::{
     fsck_store, salvage_store, EntryHealth, EntryStatus, StoreFsckReport, StoreSalvageReport,
 };
 pub use sharded::{ShardedCommitReport, ShardedOptions, ShardedStoreWriter};
 pub use vfs::{RealFile, RealFs, StoreFile, StoreFs};
-pub use writer::{wip_path, StoreWriter};

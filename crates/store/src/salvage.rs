@@ -1,21 +1,26 @@
 //! Store-level fsck and salvage.
 //!
 //! A store has two independent failure surfaces: the data region
-//! (individual containers) and the index region. Fsck reports both;
-//! salvage recovers every intact record it can find, rebuilding the
-//! index from a forward record walk when the original one is unusable.
+//! (individual containers) and the index region (the trailer index of a
+//! single-file store, the manifest of a directory). Fsck reports both;
+//! salvage recovers every intact record it can find into a fresh
+//! version-3 store, rebuilding the index from a forward record walk
+//! when the original one is unusable.
 //!
 //! # Resync rules for a lost index
 //!
-//! Each record embeds an ISOBAR container, whose `"ISBR"` magic acts
-//! as an anchor. For a magic at file position `m`, the record header
-//! ends exactly at `m`, so its start is `m - 15 - name_len`; the walk
-//! tries every `name_len` whose length prefix at that start agrees,
-//! then demands a UTF-8 name, a plausible element width, and a
-//! container length that fits in the file. Accepted candidates are
-//! confirmed by a strict (verifying) decompress — a false anchor has
-//! to forge the container checksums to survive, so misidentified
-//! records do not reach the salvaged output.
+//! Both formats share one record grammar, so one walk serves both; a
+//! format only contributes its header length (5 bytes for a single
+//! file, 8 for a segment) and its file list. Each record embeds an
+//! ISOBAR container, whose `"ISBR"` magic acts as an anchor. For a
+//! magic at file position `m`, the record header ends exactly at `m`,
+//! so its start is `m - 15 - name_len`; the walk tries every
+//! `name_len` whose length prefix at that start agrees, then demands a
+//! UTF-8 name, a plausible element width, and a container length that
+//! fits in the file. Accepted candidates are confirmed by a strict
+//! (verifying) decompress — a false anchor has to forge the container
+//! checksums to survive, so misidentified records do not reach the
+//! salvaged output.
 
 use crate::error::StoreError;
 use crate::format::{
@@ -25,9 +30,9 @@ use crate::format::{
 use crate::manifest::Manifest;
 use crate::reader::StoreReader;
 use crate::sharded::{ShardedOptions, ShardedStoreWriter};
-use crate::writer::StoreWriter;
 use isobar::{IsobarCompressor, IsobarOptions};
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
 
 /// Verification outcome for one store entry.
@@ -283,124 +288,36 @@ fn fsck_entries(
     })
 }
 
-/// Copy every recoverable record of the store at `input` into a fresh
-/// store at `output`.
+/// Copy every recoverable record of the store at `input` (a version-3
+/// directory or a version-1/2 file) into a fresh single-shard
+/// version-3 store at `output`.
 ///
 /// With a usable index, intact containers are copied byte-for-byte (no
-/// decompress/recompress round trip). With an unusable index, records
-/// are rediscovered by the forward walk described in the module docs;
-/// each candidate must survive a strict verifying decompress before it
-/// is admitted. The output is always a complete, current-version store
-/// — opening it verifies clean.
+/// decompress/recompress round trip). When the live version of a
+/// `(step, variable)` is damaged, older superseded versions of the same
+/// key are tried newest-first — a version-3 supersede history doubles
+/// as a recovery ladder. A single-file store's index is usable only if
+/// it verifies; a directory's manifest only has to decode.
+///
+/// With an unusable index, records are rediscovered by the forward
+/// walk described in the module docs — over the single file, or over
+/// every segment file of a directory (including `.wip` journals of a
+/// crashed writer) in generation order. Each candidate must survive a
+/// strict verifying decompress before it is admitted, and the newest
+/// surviving version of each key wins. The output is always a
+/// complete, current-version store — opening it verifies clean.
 pub fn salvage_store(
     input: impl AsRef<Path>,
     output: impl AsRef<Path>,
 ) -> Result<StoreSalvageReport, StoreError> {
     let input = input.as_ref();
-    if input.is_dir() {
-        return salvage_v3(input, output.as_ref());
-    }
-    let report = fsck_store(input)?;
-    let mut writer = StoreWriter::create(output.as_ref(), IsobarOptions::default())?;
-    let mut recovered = 0usize;
-    let mut lost = 0usize;
-
-    if !report.index_damaged {
-        let reader = StoreReader::open_with_verify(input, false)?;
-        for entry in reader.entries() {
-            let container = match reader.get_container(entry) {
-                Ok(c) => c,
-                Err(StoreError::Io(e)) => return Err(StoreError::Io(e)),
-                Err(_) => {
-                    lost += 1;
-                    continue;
-                }
-            };
-            if container_health(report.version, entry, &container) == EntryHealth::Damaged {
-                lost += 1;
-                continue;
-            }
-            writer.put_container(
-                entry.step,
-                &entry.name,
-                entry.width,
-                &container,
-                entry.raw_len,
-            )?;
-            recovered += 1;
-        }
-        writer.close()?;
-        return Ok(StoreSalvageReport {
-            entries_recovered: recovered,
-            entries_lost: lost,
-            index_rebuilt: false,
-        });
-    }
-
-    // Index unusable: rediscover records by forward walk.
-    let data = std::fs::read(input)?;
-    let verifier = IsobarCompressor::new(IsobarOptions {
-        verify: true,
-        ..Default::default()
-    });
-    let head_len = MAGIC.len() + 1;
-    let mut pos = head_len;
-    while pos + isobar::container::MAGIC.len() <= data.len() {
-        let Some(found) = find_magic(&data[pos..]) else {
-            break;
-        };
-        let m = pos + found;
-        match record_at(&data, head_len, m) {
-            Some(record) => {
-                let container = &data[m..m + record.container_len];
-                match verifier.decompress(container) {
-                    Ok(raw) => {
-                        match writer.put_container(
-                            record.step,
-                            record.name,
-                            record.width,
-                            container,
-                            raw.len() as u64,
-                        ) {
-                            Ok(()) => recovered += 1,
-                            // A duplicate here means a false anchor
-                            // reproduced an already-salvaged record;
-                            // drop it rather than fail the salvage.
-                            Err(StoreError::Duplicate { .. }) => {}
-                            Err(e) => return Err(e),
-                        }
-                        pos = m + record.container_len;
-                    }
-                    Err(_) => {
-                        lost += 1;
-                        pos = m + isobar::container::MAGIC.len();
-                    }
-                }
-            }
-            None => {
-                pos = m + isobar::container::MAGIC.len();
-            }
-        }
-    }
-    writer.close()?;
-    Ok(StoreSalvageReport {
-        entries_recovered: recovered,
-        entries_lost: lost,
-        index_rebuilt: true,
-    })
-}
-
-/// Salvage a version-3 directory store into a fresh single-shard
-/// version-3 store at `output`.
-///
-/// With a decodable manifest, the newest intact version of every live
-/// `(step, variable)` is copied byte-for-byte; when the newest version
-/// is damaged, older superseded versions of the same key are tried
-/// newest-first — a supersede history doubles as a recovery ladder.
-/// Without a usable manifest, every segment file (including `.wip`
-/// journals of a crashed writer) is walked with the resync rules from
-/// the module docs, and the newest surviving version of each key wins.
-fn salvage_v3(input: &Path, output: &Path) -> Result<StoreSalvageReport, StoreError> {
+    let reader = if input.is_dir() {
+        StoreReader::open_with_verify(input, false).ok()
+    } else if fsck_store(input)?.index_damaged {
+        None
+    } else {
+        Some(StoreReader::open_with_verify(input, false)?)
+    };
     let writer = ShardedStoreWriter::create(
         output,
         IsobarOptions::default(),
@@ -409,150 +326,141 @@ fn salvage_v3(input: &Path, output: &Path) -> Result<StoreSalvageReport, StoreEr
             ..Default::default()
         },
     )?;
+    let report = match reader {
+        Some(reader) => copy_indexed(&reader, &writer)?,
+        None => walk_records(input, &writer)?,
+    };
+    writer.close()?;
+    Ok(report)
+}
+
+/// Copy the newest intact version of every key `reader` indexes.
+fn copy_indexed(
+    reader: &StoreReader,
+    writer: &ShardedStoreWriter,
+) -> Result<StoreSalvageReport, StoreError> {
+    // Group index positions by key; index order is put order, so the
+    // last position of a key is its live version.
+    let mut order: Vec<(u32, String)> = Vec::new();
+    let mut versions: HashMap<(u32, String), Vec<usize>> = HashMap::new();
+    for (at, entry) in reader.entries().iter().enumerate() {
+        let key = (entry.step, entry.name.clone());
+        match versions.entry(key.clone()) {
+            Entry::Occupied(mut o) => o.get_mut().push(at),
+            Entry::Vacant(v) => {
+                v.insert(vec![at]);
+                order.push(key);
+            }
+        }
+    }
     let mut recovered = 0usize;
-    let mut lost = 0usize;
-
-    if let Ok(reader) = StoreReader::open_with_verify(input, false) {
-        // Group index positions by key; index order is put order, so
-        // the last position of a key is its live version.
-        let mut order: Vec<(u32, String)> = Vec::new();
-        let mut versions: std::collections::HashMap<(u32, String), Vec<usize>> =
-            std::collections::HashMap::new();
-        for (at, entry) in reader.entries().iter().enumerate() {
-            let key = (entry.step, entry.name.clone());
-            match versions.entry(key.clone()) {
-                std::collections::hash_map::Entry::Occupied(mut o) => o.get_mut().push(at),
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(vec![at]);
-                    order.push(key);
-                }
+    for key in &order {
+        for &at in versions[key].iter().rev() {
+            let entry = &reader.entries()[at];
+            let container = match reader.get_container(entry) {
+                Ok(c) => c,
+                Err(StoreError::Io(e)) => return Err(StoreError::Io(e)),
+                Err(_) => continue,
+            };
+            if container_health(reader.version(), entry, &container) == EntryHealth::Damaged {
+                continue;
             }
-        }
-        for key in &order {
-            let positions = &versions[key];
-            let mut copied = false;
-            for &at in positions.iter().rev() {
-                let entry = &reader.entries()[at];
-                let container = match reader.get_container(entry) {
-                    Ok(c) => c,
-                    Err(StoreError::Io(e)) => return Err(StoreError::Io(e)),
-                    Err(_) => continue,
-                };
-                if container_health(V3_VERSION, entry, &container) == EntryHealth::Damaged {
-                    continue;
-                }
-                writer.put_container(
-                    entry.step,
-                    &entry.name,
-                    entry.width,
-                    container,
-                    entry.raw_len,
-                )?;
-                copied = true;
-                break;
-            }
-            if copied {
-                recovered += 1;
-            } else {
-                lost += 1;
-            }
-        }
-        writer.close()?;
-        return Ok(StoreSalvageReport {
-            entries_recovered: recovered,
-            entries_lost: lost,
-            index_rebuilt: false,
-        });
-    }
-
-    // Manifest unusable: walk every segment-shaped file in generation
-    // order (file names sort by generation) and rediscover records.
-    let mut files: Vec<String> = Vec::new();
-    for dirent in std::fs::read_dir(input)? {
-        let name = dirent?.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let stem = name.strip_suffix(".wip").unwrap_or(name);
-        if is_segment_file_name(stem) {
-            files.push(name.to_string());
+            writer.put_container(
+                entry.step,
+                &entry.name,
+                entry.width,
+                container,
+                entry.raw_len,
+            )?;
+            recovered += 1;
+            break;
         }
     }
-    files.sort();
+    Ok(StoreSalvageReport {
+        entries_recovered: recovered,
+        entries_lost: order.len() - recovered,
+        index_rebuilt: false,
+    })
+}
+
+/// Rediscover records without an index: walk the single store file
+/// past its head, or every segment-shaped file of a directory past its
+/// header, in name order (names sort by generation).
+fn walk_records(
+    input: &Path,
+    writer: &ShardedStoreWriter,
+) -> Result<StoreSalvageReport, StoreError> {
+    let (files, head_len) = if input.is_dir() {
+        let mut files = Vec::new();
+        for dirent in std::fs::read_dir(input)? {
+            let path = dirent?.path();
+            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
+                continue;
+            };
+            if is_segment_file_name(name.strip_suffix(".wip").unwrap_or(name)) {
+                files.push(path);
+            }
+        }
+        files.sort();
+        (files, SEGMENT_HEADER_LEN)
+    } else {
+        (vec![input.to_path_buf()], MAGIC.len() + 1)
+    };
 
     let verifier = IsobarCompressor::new(IsobarOptions {
         verify: true,
         ..Default::default()
     });
-    // Newest version of each key wins: later files are later
-    // generations, and within a file the walk runs in put order.
-    struct Candidate {
+    struct Found {
         step: u32,
         name: String,
         width: u8,
         container: Vec<u8>,
         raw_len: u64,
     }
-    let mut order: Vec<usize> = Vec::new();
-    let mut by_key: std::collections::HashMap<(u32, String), usize> =
-        std::collections::HashMap::new();
-    let mut candidates: Vec<Candidate> = Vec::new();
+    // One slot per key, in first-appearance order; a later version of
+    // the key (a later generation, or later in put order) overwrites it.
+    let mut found: Vec<Found> = Vec::new();
+    let mut slot: HashMap<(u32, String), usize> = HashMap::new();
+    let mut lost = 0usize;
     for file in &files {
-        let data = std::fs::read(input.join(file))?;
-        let mut pos = SEGMENT_HEADER_LEN;
+        let data = std::fs::read(file)?;
+        let mut pos = head_len;
         while pos + isobar::container::MAGIC.len() <= data.len() {
-            let Some(found) = find_magic(&data[pos..]) else {
+            let Some(at) = find_magic(&data[pos..]) else {
                 break;
             };
-            let m = pos + found;
-            match record_at(&data, SEGMENT_HEADER_LEN, m) {
-                Some(record) => {
-                    let container = &data[m..m + record.container_len];
-                    match verifier.decompress(container) {
-                        Ok(raw) => {
-                            let candidate = Candidate {
-                                step: record.step,
-                                name: record.name.to_string(),
-                                width: record.width,
-                                container: container.to_vec(),
-                                raw_len: raw.len() as u64,
-                            };
-                            let key = (candidate.step, candidate.name.clone());
-                            candidates.push(candidate);
-                            let at = candidates.len() - 1;
-                            match by_key.entry(key) {
-                                std::collections::hash_map::Entry::Occupied(mut o) => {
-                                    *o.get_mut() = at;
-                                }
-                                std::collections::hash_map::Entry::Vacant(v) => {
-                                    v.insert(at);
-                                    order.push(at);
-                                }
-                            }
-                            pos = m + record.container_len;
-                        }
-                        Err(_) => {
-                            lost += 1;
-                            pos = m + isobar::container::MAGIC.len();
-                        }
-                    }
-                }
-                None => {
-                    pos = m + isobar::container::MAGIC.len();
+            let m = pos + at;
+            pos = m + isobar::container::MAGIC.len();
+            let Some(record) = record_at(&data, head_len, m) else {
+                continue;
+            };
+            let container = &data[m..m + record.container_len];
+            let Ok(raw) = verifier.decompress(container) else {
+                lost += 1;
+                continue;
+            };
+            pos = m + record.container_len;
+            let version = Found {
+                step: record.step,
+                name: record.name.to_string(),
+                width: record.width,
+                container: container.to_vec(),
+                raw_len: raw.len() as u64,
+            };
+            match slot.entry((record.step, version.name.clone())) {
+                Entry::Occupied(o) => found[*o.get()] = version,
+                Entry::Vacant(v) => {
+                    v.insert(found.len());
+                    found.push(version);
                 }
             }
         }
     }
-    // `order` holds each key's first-appearance position; resolve to
-    // the key's newest candidate before writing.
-    for at in order {
-        let newest = {
-            let c = &candidates[at];
-            by_key[&(c.step, c.name.clone())]
-        };
-        let c = &candidates[newest];
-        writer.put_container(c.step, &c.name, c.width, c.container.clone(), c.raw_len)?;
-        recovered += 1;
+    let recovered = found.len();
+    for f in found {
+        writer.put_container(f.step, &f.name, f.width, f.container, f.raw_len)?;
     }
-    writer.close()?;
     Ok(StoreSalvageReport {
         entries_recovered: recovered,
         entries_lost: lost,
@@ -629,25 +537,60 @@ mod tests {
             .collect()
     }
 
-    fn write_demo_store(path: &PathBuf) -> (Vec<u8>, Vec<u8>) {
-        let a = payload(16 * 1024, 1);
-        let b = payload(16 * 1024, 7);
-        let mut writer = StoreWriter::create(path, IsobarOptions::default()).unwrap();
-        writer.put(0, "density", &a, 8).unwrap();
-        writer.put(0, "potential", &b, 8).unwrap();
-        writer.close().unwrap();
-        (a, b)
+    /// A version-2 store written by an earlier release: `density` and
+    /// `potential` at step 0, and at step 3 a width-1 `tricky` variable
+    /// whose payload contains two false `"ISBR"` anchors. Pinned and
+    /// decoded bit-exactly by `tests/store_integration.rs`.
+    const V2_DEMO: &[u8] = include_bytes!("../tests/fixtures/v2_demo.isst");
+
+    fn tricky() -> Vec<u8> {
+        let mut data = payload(16 * 1024, 3);
+        data[4096..4100].copy_from_slice(b"ISBR");
+        data[8192..8196].copy_from_slice(b"ISBR");
+        data
+    }
+
+    /// The fixture's entries with their regenerated payloads.
+    fn demo_entries() -> Vec<(u32, &'static str, Vec<u8>)> {
+        vec![
+            (0, "density", payload(16 * 1024, 1)),
+            (0, "potential", payload(16 * 1024, 7)),
+            (3, "tricky", tricky()),
+        ]
+    }
+
+    fn index_offset(bytes: &[u8]) -> usize {
+        let trailer_at = bytes.len() - TRAILER_LEN;
+        u64::from_le_bytes(bytes[trailer_at..trailer_at + 8].try_into().unwrap()) as usize
+    }
+
+    /// `out` must be a version-3 directory that fscks clean and serves
+    /// exactly `expected`.
+    fn assert_clean_v3(out: &Path, expected: &[(u32, &str, Vec<u8>)]) {
+        assert!(out.is_dir(), "salvage output is a version-3 directory");
+        let report = fsck_store(out).unwrap();
+        assert!(report.is_clean(), "{report:?}");
+        assert_eq!(report.version, V3_VERSION);
+        let restored = StoreReader::open(out).unwrap();
+        assert_eq!(
+            restored.entries().len(),
+            expected.len(),
+            "no phantom records"
+        );
+        for (step, name, data) in expected {
+            assert_eq!(&restored.get(*step, name).unwrap(), data, "{name}@{step}");
+        }
     }
 
     #[test]
     fn clean_store_fscks_clean() {
         let path = tmp("clean.isst");
-        write_demo_store(&path);
+        std::fs::write(&path, V2_DEMO).unwrap();
         let report = fsck_store(&path).unwrap();
         assert!(report.is_clean());
         assert!(!report.legacy);
         assert_eq!(report.version, crate::format::VERSION);
-        assert_eq!(report.entries.len(), 2);
+        assert_eq!(report.entries.len(), 3);
         assert!(report
             .entries
             .iter()
@@ -658,15 +601,17 @@ mod tests {
     #[test]
     fn container_damage_is_reported_and_salvaged_around() {
         let path = tmp("damaged.isst");
-        let out = tmp("damaged-salvaged.isst");
-        let (_, b) = write_demo_store(&path);
+        let out = tmp("damaged-salvaged");
+        let _ = std::fs::remove_dir_all(&out);
+        let mut entries = demo_entries();
 
         // Flip one byte in the middle of the first entry's container.
+        std::fs::write(&path, V2_DEMO).unwrap();
         let reader = StoreReader::open(&path).unwrap();
         let victim = reader.entries()[0].clone();
         let survivor = reader.entries()[1].clone();
         drop(reader);
-        let mut bytes = std::fs::read(&path).unwrap();
+        let mut bytes = V2_DEMO.to_vec();
         let hit = (victim.offset + victim.container_len / 2) as usize;
         bytes[hit] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
@@ -682,34 +627,32 @@ mod tests {
         let err = reader.get(victim.step, &victim.name).unwrap_err();
         assert!(err.is_checksum_mismatch(), "got {err}");
         // …but still serves the intact one.
-        assert_eq!(reader.get(survivor.step, &survivor.name).unwrap(), b);
+        assert_eq!(
+            reader.get(survivor.step, &survivor.name).unwrap(),
+            entries[1].2
+        );
         drop(reader);
 
         let salvage = salvage_store(&path, &out).unwrap();
-        assert_eq!(salvage.entries_recovered, 1);
+        assert_eq!(salvage.entries_recovered, 2);
         assert_eq!(salvage.entries_lost, 1);
         assert!(!salvage.index_rebuilt);
-
-        let restored = StoreReader::open(&out).unwrap();
-        assert_eq!(restored.get(survivor.step, &survivor.name).unwrap(), b);
-        assert!(fsck_store(&out).unwrap().is_clean());
+        entries.remove(0);
+        assert_clean_v3(&out, &entries);
         std::fs::remove_file(&path).unwrap();
-        std::fs::remove_file(&out).unwrap();
+        std::fs::remove_dir_all(&out).unwrap();
     }
 
     #[test]
     fn index_damage_triggers_record_walk_rebuild() {
         let path = tmp("badindex.isst");
-        let out = tmp("badindex-salvaged.isst");
-        let (a, b) = write_demo_store(&path);
+        let out = tmp("badindex-salvaged");
+        let _ = std::fs::remove_dir_all(&out);
 
-        // Flip a byte inside the index region (between the last
-        // container and the trailer).
-        let mut bytes = std::fs::read(&path).unwrap();
-        let trailer_at = bytes.len() - TRAILER_LEN;
-        let index_offset =
-            u64::from_le_bytes(bytes[trailer_at..trailer_at + 8].try_into().unwrap()) as usize;
-        bytes[index_offset + 3] ^= 0x01;
+        // Flip a byte inside the first index entry's name.
+        let mut bytes = V2_DEMO.to_vec();
+        let at = index_offset(&bytes) + 3;
+        bytes[at] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
 
         // Default (verifying) open refuses the store outright.
@@ -721,25 +664,20 @@ mod tests {
 
         let salvage = salvage_store(&path, &out).unwrap();
         assert!(salvage.index_rebuilt);
-        assert_eq!(salvage.entries_recovered, 2);
+        assert_eq!(salvage.entries_recovered, 3);
         assert!(salvage.is_complete());
-
-        let restored = StoreReader::open(&out).unwrap();
-        assert_eq!(restored.get(0, "density").unwrap(), a);
-        assert_eq!(restored.get(0, "potential").unwrap(), b);
+        assert_clean_v3(&out, &demo_entries());
         std::fs::remove_file(&path).unwrap();
-        std::fs::remove_file(&out).unwrap();
+        std::fs::remove_dir_all(&out).unwrap();
     }
 
     #[test]
     fn index_checksum_damage_is_a_checksum_mismatch_at_index_offset() {
         let path = tmp("trailersum.isst");
-        write_demo_store(&path);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let trailer_at = bytes.len() - TRAILER_LEN;
-        let index_offset =
-            u64::from_le_bytes(bytes[trailer_at..trailer_at + 8].try_into().unwrap());
+        let mut bytes = V2_DEMO.to_vec();
+        let index_offset = index_offset(&bytes) as u64;
         // Corrupt the stored index checksum itself.
+        let trailer_at = bytes.len() - TRAILER_LEN;
         bytes[trailer_at + 12] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         match StoreReader::open(&path).unwrap_err() {
@@ -758,29 +696,24 @@ mod tests {
         // header will not parse into a record whose container passes a
         // verifying decompress.
         let path = tmp("falseanchor.isst");
-        let out = tmp("falseanchor-salvaged.isst");
-        let mut data = payload(16 * 1024, 3);
-        data[4096..4100].copy_from_slice(b"ISBR");
-        data[8192..8196].copy_from_slice(b"ISBR");
-        let mut writer = StoreWriter::create(&path, IsobarOptions::default()).unwrap();
-        writer.put(3, "tricky", &data, 1).unwrap();
-        writer.close().unwrap();
+        let out = tmp("falseanchor-salvaged");
+        let _ = std::fs::remove_dir_all(&out);
 
         // Break the index so salvage must walk records.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let trailer_at = bytes.len() - TRAILER_LEN;
-        let index_offset =
-            u64::from_le_bytes(bytes[trailer_at..trailer_at + 8].try_into().unwrap()) as usize;
-        bytes[index_offset] ^= 0xFF;
+        let mut bytes = V2_DEMO.to_vec();
+        let at = index_offset(&bytes);
+        bytes[at] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
 
         let salvage = salvage_store(&path, &out).unwrap();
         assert!(salvage.index_rebuilt);
-        assert_eq!(salvage.entries_recovered, 1);
+        assert_eq!(salvage.entries_recovered, 3);
+        assert_eq!(salvage.entries_lost, 0);
         let restored = StoreReader::open(&out).unwrap();
-        assert_eq!(restored.get(3, "tricky").unwrap(), data);
+        assert_eq!(restored.get(3, "tricky").unwrap(), tricky());
+        assert_clean_v3(&out, &demo_entries());
         std::fs::remove_file(&path).unwrap();
-        std::fs::remove_file(&out).unwrap();
+        std::fs::remove_dir_all(&out).unwrap();
     }
 
     #[test]

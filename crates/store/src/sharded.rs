@@ -1,20 +1,17 @@
 //! Sharded concurrent store writer with overlapped codec and I/O.
 //!
-//! The single-file [`crate::StoreWriter`] serializes compression and
-//! disk writes behind one cursor; in-situ checkpointing wants neither.
-//! [`ShardedStoreWriter`] owns a version-3 store *directory*: each
-//! shard is an independent segment file with its own two-stage
-//! pipeline — a codec thread running the ISOBAR pipeline and an I/O
-//! thread appending records — connected by a bounded (double-buffered)
-//! queue, so shard `k`'s compression of variable `n+1` overlaps the
-//! `write`/`fdatasync` of variable `n`, and different shards never
-//! contend at all.
+//! [`ShardedStoreWriter`] is the only writer in this crate. It owns a
+//! version-3 store *directory*: each shard is an independent segment
+//! file with its own two-stage pipeline — a codec thread running the
+//! ISOBAR pipeline and an I/O thread appending records — connected by
+//! a bounded (double-buffered) queue, so shard `k`'s compression of
+//! variable `n+1` overlaps the `write`/`fdatasync` of variable `n`, and
+//! different shards never contend at all.
 //!
 //! # Two-phase commit protocol
 //!
-//! Segments are journaled as `<segment>.wip` shadow files, exactly
-//! like the single-file writer; the manifest extends that protocol to
-//! a directory:
+//! Segments are journaled as `<segment>.wip` shadow files, and the
+//! manifest extends that shadow-file protocol to a directory:
 //!
 //! 1. every shard's records append to `g<gen>-s<shard>.seg.wip`. The
 //!    I/O thread group-commits: whenever its queue drains (the codec
@@ -43,10 +40,10 @@
 //!
 //! Opening an existing version-3 directory appends a new generation:
 //! committed segments are never rewritten, the new manifest simply
-//! references them alongside the fresh ones. Unlike the single-file
-//! writer, re-putting an existing `(step, variable)` is not an error —
-//! the later entry supersedes the earlier one (readers resolve
-//! last-wins) and compaction reclaims the dead bytes.
+//! references them alongside the fresh ones. Re-putting an existing
+//! `(step, variable)` is not an error — the later entry supersedes the
+//! earlier one (readers resolve last-wins) and compaction reclaims the
+//! dead bytes.
 
 use crate::error::StoreError;
 use crate::format::{
@@ -57,14 +54,22 @@ use crate::manifest::{
     encode_segment_header, encode_segment_trailer, Manifest, ManifestEntry, SegmentMeta,
 };
 use crate::vfs::{RealFs, StoreFile, StoreFs};
-use crate::writer::wip_path;
 use isobar::telemetry::Counter;
 use isobar::{IsobarCompressor, IsobarOptions, PipelineScratch, Recorder, TelemetrySnapshot};
 use isobar_codecs::xxhash::xxh64;
+use std::ffi::OsString;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
 use std::thread::JoinHandle;
+
+/// The shadow name a segment or manifest is journaled under before its
+/// commit rename.
+pub(crate) fn wip_path(path: &Path) -> PathBuf {
+    let mut name = OsString::from(path.as_os_str());
+    name.push(".wip");
+    PathBuf::from(name)
+}
 
 /// Concurrency knobs for a [`ShardedStoreWriter`]. See `docs/STORE.md`
 /// for tuning guidance.

@@ -5,10 +5,18 @@
 //! which covers the embedded container and stream formats.
 
 use isobar::telemetry::{Counter, ENABLED};
-use isobar::{IsobarOptions, Preference, Recorder};
-use isobar_store::{StoreError, StoreReader, StoreWriter, TRAILER_LEN};
+use isobar::Recorder;
+use isobar_codecs::xxhash::xxh64;
+use isobar_store::{StoreError, StoreReader, TRAILER_LEN};
 use std::path::PathBuf;
 
+/// A small, valid, closed version-2 store with two variables, `u` at
+/// step 0 and `v` at step 1, each holding `demo_data(700)` — written by
+/// an earlier release with Speed preference and 512-element chunks.
+const PRISTINE: &[u8] = include_bytes!("fixtures/v2_corpus.isst");
+
+/// A scratch path unique to one specimen. Every test passes its own
+/// `name`, so parallel tests never share a file.
 fn tmp(name: &str) -> PathBuf {
     let mut dir = std::env::temp_dir();
     dir.push(format!(
@@ -18,30 +26,10 @@ fn tmp(name: &str) -> PathBuf {
     dir
 }
 
-fn options() -> IsobarOptions {
-    IsobarOptions {
-        preference: Preference::Speed,
-        chunk_elements: 512,
-        ..Default::default()
-    }
-}
-
 fn demo_data(elements: usize) -> Vec<u8> {
     (0..elements as u64)
         .flat_map(|i| (((i / 5) << 32) | (i.wrapping_mul(0x9E37_79B9) & 0xFFFF_FFFF)).to_le_bytes())
         .collect()
-}
-
-/// Bytes of a small, valid, closed store with two variables.
-fn valid_store() -> Vec<u8> {
-    let path = tmp("pristine");
-    let mut writer = StoreWriter::create(&path, options()).expect("create");
-    writer.put(0, "u", &demo_data(700), 8).expect("put u");
-    writer.put(1, "v", &demo_data(700), 8).expect("put v");
-    writer.close().expect("close");
-    let bytes = std::fs::read(&path).expect("read back");
-    let _ = std::fs::remove_file(&path);
-    bytes
 }
 
 /// Write `bytes` to a scratch file, open it through the telemetry
@@ -79,14 +67,14 @@ fn store_too_short() {
 
 #[test]
 fn store_bad_magic() {
-    let mut s = valid_store();
+    let mut s = PRISTINE.to_vec();
     s[0] = b'X';
     assert_corrupt("magic", &s, "bad store magic");
 }
 
 #[test]
 fn store_unsupported_version() {
-    let mut s = valid_store();
+    let mut s = PRISTINE.to_vec();
     s[4] = 9;
     assert_corrupt("version", &s, "unsupported store version");
 }
@@ -94,7 +82,7 @@ fn store_unsupported_version() {
 #[test]
 fn store_missing_trailer_magic() {
     // Stomp the closing "ISSX": the store looks unclosed / torn.
-    let mut s = valid_store();
+    let mut s = PRISTINE.to_vec();
     let at = s.len() - 4;
     s[at] = b'?';
     assert_corrupt("trailer-magic", &s, "missing trailer (store not closed?)");
@@ -103,7 +91,7 @@ fn store_missing_trailer_magic() {
 #[test]
 fn store_torn_trailer_is_rejected() {
     // Cutting into the trailer shifts the magic out of place.
-    let s = valid_store();
+    let s = PRISTINE;
     let torn = &s[..s.len() - 5];
     let (err, _) = open_corrupt("torn", torn);
     assert!(matches!(err, StoreError::Corrupt(_)));
@@ -111,7 +99,7 @@ fn store_torn_trailer_is_rejected() {
 
 #[test]
 fn store_index_offset_outside_file() {
-    let mut s = valid_store();
+    let mut s = PRISTINE.to_vec();
     let at = s.len() - TRAILER_LEN;
     s[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
     assert_corrupt("index-offset", &s, "index offset outside data region");
@@ -121,7 +109,7 @@ fn store_index_offset_outside_file() {
 fn store_index_offset_inside_head() {
     // An offset pointing into the 5-byte head would alias header bytes
     // as index entries.
-    let mut s = valid_store();
+    let mut s = PRISTINE.to_vec();
     let at = s.len() - TRAILER_LEN;
     s[at..at + 8].copy_from_slice(&2u64.to_le_bytes());
     let (err, _) = open_corrupt("index-in-head", &s);
@@ -132,7 +120,7 @@ fn store_index_offset_inside_head() {
 fn store_entry_count_exceeds_index() {
     // The claimed entry count must fit in the index region before the
     // reader allocates for it — this was the OOM-on-corrupt-trailer bug.
-    let mut s = valid_store();
+    let mut s = PRISTINE.to_vec();
     let at = s.len() - TRAILER_LEN + 8;
     s[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
     assert_corrupt("entry-count", &s, "entry count exceeds index size");
@@ -142,14 +130,14 @@ fn store_entry_count_exceeds_index() {
 fn store_entry_range_outside_data_region() {
     // Find the first index entry's container offset field and point it
     // past the index: the entry's byte range leaves the data region.
-    let s = valid_store();
+    let s = PRISTINE;
     let trailer_at = s.len() - TRAILER_LEN;
     let index_offset =
         u64::from_le_bytes(s[trailer_at..trailer_at + 8].try_into().unwrap()) as usize;
     // IndexEntry layout: name_len u16 | step u32 | width u8 | offset u64 | ...
     let name_len = u16::from_le_bytes(s[index_offset..index_offset + 2].try_into().unwrap());
     let offset_at = index_offset + 2 + name_len as usize + 4 + 1;
-    let mut bad = s.clone();
+    let mut bad = s.to_vec();
     bad[offset_at..offset_at + 8].copy_from_slice(&(s.len() as u64).to_le_bytes());
     // The tamper rewrites index bytes, so the index checksum catches it
     // first under the default verifying open…
@@ -172,10 +160,10 @@ fn store_entry_range_outside_data_region() {
 fn store_index_bit_flip_fails_index_checksum() {
     // One flipped bit anywhere in the index region must be caught by
     // the trailer's index checksum before any entry drives a seek.
-    let s = valid_store();
+    let s = PRISTINE;
     let trailer_at = s.len() - TRAILER_LEN;
     let index_offset = u64::from_le_bytes(s[trailer_at..trailer_at + 8].try_into().unwrap());
-    let mut bad = s.clone();
+    let mut bad = s.to_vec();
     bad[index_offset as usize + 7] ^= 0x04;
     let (err, rejected) = open_corrupt("index-bit-flip", &bad);
     match err {
@@ -192,16 +180,16 @@ fn store_corrupt_variable_payload_counts_rejection() {
     // A store that opens fine but whose record bytes were damaged must
     // surface the embedded container's typed error through `get` and
     // bump the store-side rejection counter.
-    let s = valid_store();
+    let s = PRISTINE;
     let path = tmp("payload");
-    std::fs::write(&path, &s).expect("write specimen");
+    std::fs::write(&path, s).expect("write specimen");
     // Locate the first variable's container through the intact index
     // and stomp its magic byte.
     let offset = {
         let reader = StoreReader::open(&path).expect("index is intact");
         reader.entry(0, "u").expect("entry exists").offset
     };
-    let mut damaged = s.clone();
+    let mut damaged = s.to_vec();
     damaged[offset as usize] = b'X';
     std::fs::write(&path, &damaged).expect("rewrite specimen");
     let reader = StoreReader::open(&path).expect("index is intact");
@@ -229,9 +217,13 @@ fn store_corrupt_variable_payload_counts_rejection() {
 
 #[test]
 fn intact_store_round_trips() {
-    let s = valid_store();
+    assert_eq!(
+        xxh64(PRISTINE, 0),
+        0x5c23_f4df_7922_5542,
+        "fixture bytes changed"
+    );
     let path = tmp("roundtrip");
-    std::fs::write(&path, &s).expect("write");
+    std::fs::write(&path, PRISTINE).expect("write");
     let reader = StoreReader::open(&path).expect("pristine store opens");
     assert_eq!(reader.get(0, "u").expect("u decodes"), demo_data(700));
     assert_eq!(reader.get(1, "v").expect("v decodes"), demo_data(700));

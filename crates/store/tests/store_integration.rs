@@ -1,11 +1,17 @@
 //! Integration tests for the checkpoint store: a simulated multi-step,
 //! multi-variable run written in-situ and restored variable by
-//! variable.
+//! variable, plus the read-only single-file (version-2) format that
+//! earlier releases wrote, read back from a committed fixture.
 
 use isobar::{EupaSelector, IsobarOptions, Preference};
+use isobar_codecs::xxhash::xxh64;
 use isobar_datasets::catalog;
-use isobar_store::{StoreError, StoreReader, StoreWriter};
+use isobar_store::{ShardedOptions, ShardedStoreWriter, StoreError, StoreReader, VERSION};
 use std::path::PathBuf;
+
+/// A version-2 single-file store written by an earlier release (see
+/// [`v2_demo_entries`] for its contents).
+const V2_DEMO: &[u8] = include_bytes!("fixtures/v2_demo.isst");
 
 fn tmp(name: &str) -> PathBuf {
     let mut dir = std::env::temp_dir();
@@ -26,30 +32,91 @@ fn options() -> IsobarOptions {
     }
 }
 
+/// A fresh version-3 store directory at `tmp(name)`.
+fn create(name: &str) -> (PathBuf, ShardedStoreWriter) {
+    let dir = tmp(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    let writer = ShardedStoreWriter::create(
+        &dir,
+        options(),
+        ShardedOptions {
+            shards: 2,
+            queue_depth: 2,
+        },
+    )
+    .unwrap();
+    (dir, writer)
+}
+
+fn payload(len: usize, phase: u64) -> Vec<u8> {
+    (0..len)
+        .map(|i| (((i as u64).wrapping_mul(2654435761) >> (phase % 13)) & 0xFF) as u8)
+        .collect()
+}
+
+/// What `fixtures/v2_demo.isst` holds, regenerated: two width-8
+/// variables at step 0, and a width-1 variable at step 3 whose payload
+/// carries two false `"ISBR"` container anchors for the salvage walk.
+fn v2_demo_entries() -> Vec<(u32, &'static str, u8, Vec<u8>)> {
+    let mut tricky = payload(16 * 1024, 3);
+    tricky[4096..4100].copy_from_slice(b"ISBR");
+    tricky[8192..8196].copy_from_slice(b"ISBR");
+    vec![
+        (0, "density", 8, payload(16 * 1024, 1)),
+        (0, "potential", 8, payload(16 * 1024, 7)),
+        (3, "tricky", 1, tricky),
+    ]
+}
+
+#[test]
+fn v2_demo_fixture_is_pinned_and_decodes_bit_exactly() {
+    assert_eq!(
+        xxh64(V2_DEMO, 0),
+        0x63a9_7c20_79ba_c3d4,
+        "fixture bytes changed"
+    );
+    let path = tmp("v2-demo.isst");
+    std::fs::write(&path, V2_DEMO).unwrap();
+    let reader = StoreReader::open(&path).unwrap();
+    assert_eq!(reader.version(), VERSION);
+    let expected = v2_demo_entries();
+    assert_eq!(reader.entries().len(), expected.len());
+    for (entry, (step, name, width, data)) in reader.entries().iter().zip(&expected) {
+        assert_eq!((entry.step, entry.name.as_str()), (*step, *name));
+        assert_eq!(entry.width, *width);
+        assert_eq!(entry.raw_len, data.len() as u64);
+        assert_eq!(&reader.get(*step, name).unwrap(), data, "{name}@{step}");
+    }
+    assert!(matches!(
+        reader.get(1, "density"),
+        Err(StoreError::NotFound { .. })
+    ));
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn checkpoint_run_round_trips_every_variable() {
-    let path = tmp("run");
     let variables = ["zion", "zeon", "phi"];
     let steps = 4u32;
     let spec = catalog::spec("gts_chkp_zion").unwrap();
 
+    let (dir, writer) = create("run");
     let mut originals = Vec::new();
-    {
-        let mut writer = StoreWriter::create(&path, options()).unwrap();
-        for step in 0..steps {
-            for (v, name) in variables.iter().enumerate() {
-                let ds = spec.generate(25_000, (step as u64) << 8 | v as u64);
-                let entry = writer.put(step, name, &ds.bytes, 8).unwrap();
-                assert_eq!(entry.raw_len as usize, ds.bytes.len());
-                assert!(entry.container_len < entry.raw_len, "compression happened");
-                originals.push((step, *name, ds.bytes));
-            }
+    for step in 0..steps {
+        for (v, name) in variables.iter().enumerate() {
+            let ds = spec.generate(25_000, (step as u64) << 8 | v as u64);
+            writer.put(step, name, ds.bytes.clone(), 8).unwrap();
+            originals.push((step, *name, ds.bytes));
         }
-        assert_eq!(writer.entries().len(), (steps as usize) * variables.len());
-        writer.close().unwrap();
+    }
+    let report = writer.close().unwrap();
+    assert_eq!(report.new_entries.len(), (steps as usize) * variables.len());
+    for (entry, (_, _, bytes)) in report.new_entries.iter().zip(&originals) {
+        assert_eq!(entry.raw_len as usize, bytes.len());
+        assert!(entry.container_len < entry.raw_len, "compression happened");
     }
 
-    let reader = StoreReader::open(&path).unwrap();
+    let reader = StoreReader::open(&dir).unwrap();
     assert_eq!(reader.steps(), vec![0, 1, 2, 3]);
     assert_eq!(reader.variables(), variables.to_vec());
     assert!(reader.overall_ratio() > 1.0);
@@ -59,50 +126,31 @@ fn checkpoint_run_round_trips_every_variable() {
         assert_eq!(&reader.get(*step, name).unwrap(), bytes, "{name}@{step}");
     }
 
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn mixed_widths_per_variable() {
-    let path = tmp("widths");
     let doubles = catalog::spec("flash_velx").unwrap().generate(20_000, 1);
     let floats = catalog::spec("s3d_temp").unwrap().generate(20_000, 2);
-    {
-        let mut writer = StoreWriter::create(&path, options()).unwrap();
-        writer.put(0, "velx", &doubles.bytes, 8).unwrap();
-        writer.put(0, "temp", &floats.bytes, 4).unwrap();
-        writer.close().unwrap();
-    }
-    let reader = StoreReader::open(&path).unwrap();
+    let (dir, writer) = create("widths");
+    writer.put(0, "velx", doubles.bytes.clone(), 8).unwrap();
+    writer.put(0, "temp", floats.bytes.clone(), 4).unwrap();
+    writer.close().unwrap();
+    let reader = StoreReader::open(&dir).unwrap();
     assert_eq!(reader.entry(0, "velx").unwrap().width, 8);
     assert_eq!(reader.entry(0, "temp").unwrap().width, 4);
     assert_eq!(reader.get(0, "velx").unwrap(), doubles.bytes);
     assert_eq!(reader.get(0, "temp").unwrap(), floats.bytes);
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn duplicate_variables_are_rejected() {
-    let path = tmp("dup");
-    let mut writer = StoreWriter::create(&path, options()).unwrap();
-    writer.put(0, "x", &[0u8; 80], 8).unwrap();
-    assert!(matches!(
-        writer.put(0, "x", &[0u8; 80], 8),
-        Err(StoreError::Duplicate { .. })
-    ));
-    // Same name at a different step is fine.
-    writer.put(1, "x", &[0u8; 80], 8).unwrap();
-    writer.close().unwrap();
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn missing_variables_are_not_found() {
-    let path = tmp("missing");
-    let mut writer = StoreWriter::create(&path, options()).unwrap();
-    writer.put(0, "present", &[0u8; 80], 8).unwrap();
+    let (dir, writer) = create("missing");
+    writer.put(0, "present", vec![0u8; 80], 8).unwrap();
     writer.close().unwrap();
-    let reader = StoreReader::open(&path).unwrap();
+    let reader = StoreReader::open(&dir).unwrap();
     assert!(matches!(
         reader.get(0, "absent"),
         Err(StoreError::NotFound { .. })
@@ -111,132 +159,83 @@ fn missing_variables_are_not_found() {
         reader.get(9, "present"),
         Err(StoreError::NotFound { .. })
     ));
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn unclosed_store_is_rejected() {
-    let path = tmp("unclosed");
-    {
-        let mut writer = StoreWriter::create(&path, options()).unwrap();
-        writer.put(0, "x", &[1u8; 800], 8).unwrap();
-        // Dropped without close(): the commit rename never ran, so
-        // nothing exists at the final path and the reader refuses.
-    }
-    assert!(matches!(StoreReader::open(&path), Err(StoreError::Io(_))));
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn dropped_writer_leaves_no_partial_file() {
-    // Regression: an abandoned StoreWriter used to leave its partial
-    // file on disk, where a later reader (or a backup sweep) could
-    // mistake it for a checkpoint. Drop must remove the `.wip` journal
-    // and must never have created the final path at all.
-    let path = tmp("abandoned");
-    let wip = isobar_store::wip_path(&path);
-    {
-        let mut writer = StoreWriter::create(&path, options()).unwrap();
-        writer.put(0, "x", &[1u8; 800], 8).unwrap();
-        assert!(wip.exists(), "records journal to the .wip shadow file");
-        assert!(!path.exists(), "final path must not exist before commit");
-    }
-    assert!(!wip.exists(), "drop must remove the uncommitted journal");
-    assert!(!path.exists(), "drop must not promote a partial store");
-}
-
-#[test]
-fn close_commits_atomically_and_cleans_journal() {
-    let path = tmp("committed");
-    let wip = isobar_store::wip_path(&path);
-    let mut writer = StoreWriter::create(&path, options()).unwrap();
-    writer.put(0, "x", &[7u8; 800], 8).unwrap();
-    writer.close().unwrap();
-    assert!(path.exists(), "close must publish the final path");
-    assert!(!wip.exists(), "close must consume the .wip journal");
-    let reader = StoreReader::open(&path).unwrap();
-    assert_eq!(reader.get(0, "x").unwrap(), vec![7u8; 800]);
-    let _ = std::fs::remove_file(&path);
+    let (dir, writer) = create("unclosed");
+    writer.put(0, "x", vec![1u8; 800], 8).unwrap();
+    // Dropped without close(): the manifest swap never ran, so there
+    // is no committed store and the reader refuses.
+    drop(writer);
+    assert!(matches!(
+        StoreReader::open(&dir),
+        Err(StoreError::Corrupt(_))
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn truncated_store_is_rejected() {
-    let path = tmp("trunc");
-    {
-        let mut writer = StoreWriter::create(&path, options()).unwrap();
-        writer.put(0, "x", &[1u8; 8000], 8).unwrap();
-        writer.close().unwrap();
-    }
-    let bytes = std::fs::read(&path).unwrap();
-    for cut in [0usize, 4, bytes.len() / 2, bytes.len() - 1] {
-        let cut_path = tmp(&format!("trunc-{cut}"));
-        std::fs::write(&cut_path, &bytes[..cut]).unwrap();
+    for cut in [0usize, 4, V2_DEMO.len() / 2, V2_DEMO.len() - 1] {
+        let cut_path = tmp(&format!("trunc-{cut}.isst"));
+        std::fs::write(&cut_path, &V2_DEMO[..cut]).unwrap();
         assert!(StoreReader::open(&cut_path).is_err(), "cut {cut}");
         let _ = std::fs::remove_file(&cut_path);
     }
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
 fn empty_store_round_trips() {
-    let path = tmp("empty");
-    StoreWriter::create(&path, options())
-        .unwrap()
-        .close()
-        .unwrap();
-    let reader = StoreReader::open(&path).unwrap();
+    let (dir, writer) = create("empty");
+    writer.close().unwrap();
+    let reader = StoreReader::open(&dir).unwrap();
     assert!(reader.entries().is_empty());
     assert!(reader.steps().is_empty());
     assert_eq!(reader.overall_ratio(), 1.0);
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn store_telemetry_accounts_for_every_byte() {
     use isobar::telemetry::{Counter, ENABLED};
 
-    let path = tmp("telemetry");
     let ds = catalog::spec("gts_chkp_zion").unwrap().generate(25_000, 7);
-    let mut writer = StoreWriter::create(&path, options()).unwrap();
-    writer.put(0, "zion", &ds.bytes, 8).unwrap();
-    writer.put(1, "zion", &ds.bytes, 8).unwrap();
-    let mid = writer.telemetry();
-    let container_bytes: u64 = writer.entries().iter().map(|e| e.container_len).sum();
-    let snap = writer.close_with_telemetry().unwrap();
+    let (dir, writer) = create("telemetry");
+    writer.put(0, "zion", ds.bytes.clone(), 8).unwrap();
+    writer.put(1, "zion", ds.bytes.clone(), 8).unwrap();
+    let report = writer.close().unwrap();
+    let snap = report.telemetry;
+    let _ = std::fs::remove_dir_all(&dir);
 
     if !ENABLED {
-        assert!(mid.is_empty() && snap.is_empty());
-        let _ = std::fs::remove_file(&path);
+        assert!(snap.is_empty());
         return;
     }
 
+    let container_bytes: u64 = report.new_entries.iter().map(|e| e.container_len).sum();
     assert_eq!(snap.counter(Counter::StorePuts), 2);
     assert_eq!(
         snap.counter(Counter::StoreRawBytes),
         2 * ds.bytes.len() as u64
     );
     assert_eq!(snap.counter(Counter::StoreContainerBytes), container_bytes);
-    // Index bytes only land at close time.
-    assert_eq!(mid.counter(Counter::StoreIndexBytes), 0);
-    assert!(snap.counter(Counter::StoreIndexBytes) > 0);
+    assert!(snap.counter(Counter::StoreManifestBytes) > 0);
     // The underlying pipeline telemetry rides along.
     assert_eq!(snap.counter(Counter::EupaRuns), 2);
     assert!(snap.counter(Counter::AnalyzerBytes) >= 2 * ds.bytes.len() as u64);
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
 fn reader_is_shareable_across_threads() {
-    let path = tmp("threads");
     let ds = catalog::spec("gts_phi_l").unwrap().generate(20_000, 3);
-    {
-        let mut writer = StoreWriter::create(&path, options()).unwrap();
-        for step in 0..4u32 {
-            writer.put(step, "phi", &ds.bytes, 8).unwrap();
-        }
-        writer.close().unwrap();
+    let (dir, writer) = create("threads");
+    for step in 0..4u32 {
+        writer.put(step, "phi", ds.bytes.clone(), 8).unwrap();
     }
-    let reader = std::sync::Arc::new(StoreReader::open(&path).unwrap());
+    writer.close().unwrap();
+    let reader = std::sync::Arc::new(StoreReader::open(&dir).unwrap());
     let handles: Vec<_> = (0..4u32)
         .map(|step| {
             let reader = reader.clone();
@@ -249,5 +248,5 @@ fn reader_is_shareable_across_threads() {
     for h in handles {
         h.join().unwrap();
     }
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
