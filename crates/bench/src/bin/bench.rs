@@ -292,7 +292,9 @@ fn serve_soak(args: &[String]) -> Result<(), String> {
     if let Some((records, min_share)) = attribution {
         println!(
             "{:<22} {:>10}  (min attribution {:.1}%)",
-            "slow log records", records, min_share * 100.0
+            "slow log records",
+            records,
+            min_share * 100.0
         );
     }
 
@@ -317,8 +319,12 @@ fn serve_soak(args: &[String]) -> Result<(), String> {
 /// count and the worst attribution share.
 fn check_slow_log(flight_dir: &std::path::Path) -> Result<(usize, f64), String> {
     let path = flight_dir.join("slow.jsonl");
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("{}: {e} (flight recorder wrote no slow log)", path.display()))?;
+    let text = std::fs::read_to_string(&path).map_err(|e| {
+        format!(
+            "{}: {e} (flight recorder wrote no slow log)",
+            path.display()
+        )
+    })?;
     let mut records = 0usize;
     let mut min_share = f64::INFINITY;
     for (i, line) in text.lines().enumerate() {

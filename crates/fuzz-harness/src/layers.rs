@@ -35,6 +35,8 @@ use isobar_server::protocol::{encode_request, read_response, FrameError, Request
 use isobar_server::{serve, Client, Opcode, ServeOptions, Status};
 use isobar_store::StoreReader;
 
+mod salvage;
+
 /// Fixed allocation headroom a decode call may use regardless of input
 /// size: covers prediction tables (FPC decodes with up to 16 MiB of
 /// hash tables for its default table size), BWT working state for a
@@ -181,7 +183,8 @@ fn fnv1a(s: &str) -> u64 {
 }
 
 /// All fuzz layers, covering every format layer (batch container,
-/// stream framing, checkpoint store) and every codec decode path
+/// stream framing, checkpoint store), the salvage walkers over
+/// containers, streams and journals, and every codec decode path
 /// (deflate/zlib, bzip2-class BWT, PFOR, raw inflate, raw BWT block,
 /// RLE1, FPC, fpzip-class — the range coder is exercised through the
 /// fpzip layer, and Huffman/LZ77/MTF/ZRLE through the deflate and BWT
@@ -191,6 +194,7 @@ pub fn all_layers() -> Vec<Layer> {
         container_layer(),
         stream_layer(),
         store_layer(),
+        salvage::salvage_layer(),
         codec_layer("codec-deflate", CodecId::Deflate),
         codec_layer("codec-bzip2", CodecId::Bzip2Like),
         pfor_layer(),
@@ -206,13 +210,13 @@ pub fn all_layers() -> Vec<Layer> {
 // ---------------------------------------------------------------------
 // Deterministic payload generators.
 
-fn smooth_f64(n: usize) -> Vec<u8> {
+pub(crate) fn smooth_f64(n: usize) -> Vec<u8> {
     (0..n)
         .flat_map(|i| (100.0 * (i as f64 * 0.01).sin()).to_le_bytes())
         .collect()
 }
 
-fn mixed_u64(n: usize, rng: &mut Rng) -> Vec<u8> {
+pub(crate) fn mixed_u64(n: usize, rng: &mut Rng) -> Vec<u8> {
     // Top half predictable, bottom half noise — the shape ISOBAR's
     // analyzer is built for, so containers exercise partitioned chunks.
     (0..n as u64)
@@ -220,7 +224,7 @@ fn mixed_u64(n: usize, rng: &mut Rng) -> Vec<u8> {
         .collect()
 }
 
-fn noise(len: usize, rng: &mut Rng) -> Vec<u8> {
+pub(crate) fn noise(len: usize, rng: &mut Rng) -> Vec<u8> {
     let mut out = vec![0u8; len];
     rng.fill(&mut out);
     out
@@ -245,7 +249,9 @@ fn small_options() -> IsobarOptions {
 // ---------------------------------------------------------------------
 // Format layers.
 
-fn container_layer() -> Layer {
+/// Valid batch containers: the container layer's pool, and part of the
+/// salvage layer's.
+pub(crate) fn container_pool() -> Vec<Artifact> {
     let mut rng = Rng::new(0xC0DE_C0DE);
     let mk = |data: Vec<u8>, width: usize, codec: Option<CodecId>| {
         let opts = IsobarOptions {
@@ -260,15 +266,18 @@ fn container_layer() -> Layer {
             original: data,
         }
     };
-    let pool = vec![
+    vec![
         mk(smooth_f64(1024), 8, None),
         mk(mixed_u64(1024, &mut rng), 8, Some(CodecId::Deflate)),
         mk(noise(4096, &mut rng), 4, Some(CodecId::Bzip2Like)),
         mk(text(6000), 8, None),
-    ];
+    ]
+}
+
+fn container_layer() -> Layer {
     Layer {
         name: "container",
-        pool,
+        pool: container_pool(),
         alloc_scale: ALLOC_SCALE,
         decode: Box::new(|artifact, bytes, pristine| {
             match IsobarCompressor::default().decompress(bytes) {
@@ -285,7 +294,9 @@ fn container_layer() -> Layer {
     }
 }
 
-fn stream_layer() -> Layer {
+/// Valid streams: the stream layer's pool, and part of the salvage
+/// layer's.
+pub(crate) fn stream_pool() -> Vec<Artifact> {
     let mut rng = Rng::new(0x57_BEA4);
     let mk = |data: Vec<u8>, width: usize| {
         let mut writer =
@@ -297,14 +308,17 @@ fn stream_layer() -> Layer {
             original: data,
         }
     };
-    let pool = vec![
+    vec![
         mk(smooth_f64(1024), 8),
         mk(mixed_u64(768, &mut rng), 8),
         mk(noise(2048, &mut rng), 4),
-    ];
+    ]
+}
+
+fn stream_layer() -> Layer {
     Layer {
         name: "stream",
-        pool,
+        pool: stream_pool(),
         alloc_scale: ALLOC_SCALE,
         decode: Box::new(|artifact, bytes, pristine| {
             let result = IsobarReader::new(bytes).and_then(|r| r.read_to_vec());

@@ -17,8 +17,11 @@
 //!
 //! # Resync rules (see also docs/FORMAT.md)
 //!
-//! When a chunk record fails to parse or verify, the walker scans
-//! forward one byte at a time looking for the next *anchor*: an offset
+//! Every salvage walk in the workspace — containers and streams here,
+//! store records and write-ahead journals in their own crates — runs on
+//! [`resync_walk`]; each format supplies only its anchor test. When a
+//! chunk record fails to parse or verify, the walk probes forward one
+//! byte at a time looking for the next *anchor*: an offset
 //! where a structurally valid chunk header is followed by payload
 //! bytes that match its embedded XXH64 checksum. A false anchor would
 //! need a valid mode byte, an element count within the header's chunk
@@ -43,6 +46,12 @@ use crate::stream::{STREAM_HEADER_LEN, STREAM_TRAILER_LEN};
 use isobar_codecs::{codec_for, CodecId};
 use isobar_linearize::Linearization;
 use isobar_telemetry::{Counter, Recorder};
+
+/// Most bytes of zero fill [`salvage_decompress`] will invent per byte
+/// of evidence (input bytes plus output bytes backed by surviving
+/// records). A header claiming more is refused as damaged: the output
+/// would be over 99.9% invented.
+pub const MAX_FILL_RATIO: u64 = 1024;
 
 /// Health of one chunk record as seen by `fsck`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,71 +130,108 @@ impl SalvageReport {
     }
 }
 
-/// One element of a container walk: a parsed record or a skipped gap.
-enum Segment {
-    Record { offset: u64, record: ChunkRecord },
-    Gap { offset: u64, len: u64 },
+/// One step of a [`resync_walk`]: an accepted item or a skipped gap.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Walked<T> {
+    /// `try_at` accepted the bytes starting at `offset`.
+    Item {
+        /// Absolute offset of the item in the walked data.
+        offset: usize,
+        /// What `try_at` returned for it.
+        item: T,
+    },
+    /// A maximal run of bytes where every probe was rejected.
+    Gap {
+        /// Absolute offset of the first skipped byte.
+        offset: usize,
+        /// Bytes skipped.
+        len: usize,
+    },
 }
 
-/// Walk the chunk records of a batch container body, resynchronizing
-/// past damage via checksum anchors (see the module docs).
-fn walk_container(data: &[u8], header: &Header) -> Vec<Segment> {
-    let body = &data[HEADER_LEN..];
-    let width = header.width as usize;
-    let mut segments = Vec::new();
-    let mut pos = 0usize;
-    while pos < body.len() {
-        match try_anchor(body, pos, width, header.chunk_elements, header.version) {
-            Some((record, used)) => {
-                segments.push(Segment::Record {
-                    offset: (HEADER_LEN + pos) as u64,
-                    record,
-                });
-                pos += used;
+/// The checksum-anchor resync walk every salvage path shares (see
+/// docs/FORMAT.md, "Resync walk").
+///
+/// Starting at `start`, ask `try_at(pos)` for an item at `pos`; it
+/// returns the item and the absolute offset just past it. On success
+/// the walk jumps to that end, otherwise it probes the next byte. An
+/// end at or before `pos`, or past the data, counts as a rejection, so
+/// the walk always moves forward and terminates. `visit` sees items
+/// and maximal gaps in order; together they tile `data[start..]`
+/// exactly, and no two gaps are adjacent.
+pub fn resync_walk<T>(
+    data: &[u8],
+    start: usize,
+    mut try_at: impl FnMut(usize) -> Option<(T, usize)>,
+    mut visit: impl FnMut(Walked<T>),
+) {
+    let mut pos = start;
+    let mut gap_start = None;
+    while pos < data.len() {
+        match try_at(pos).filter(|(_, end)| *end > pos && *end <= data.len()) {
+            Some((item, end)) => {
+                if let Some(offset) = gap_start.take() {
+                    visit(Walked::Gap {
+                        offset,
+                        len: pos - offset,
+                    });
+                }
+                visit(Walked::Item { offset: pos, item });
+                pos = end;
             }
             None => {
-                let gap_start = pos;
+                gap_start.get_or_insert(pos);
                 pos += 1;
-                while pos < body.len()
-                    && try_anchor(body, pos, width, header.chunk_elements, header.version).is_none()
-                {
-                    pos += 1;
-                }
-                segments.push(Segment::Gap {
-                    offset: (HEADER_LEN + gap_start) as u64,
-                    len: (pos - gap_start) as u64,
-                });
             }
         }
     }
-    segments
+    if let Some(offset) = gap_start {
+        visit(Walked::Gap {
+            offset,
+            len: data.len() - offset,
+        });
+    }
 }
 
-/// Try to parse (and, where the format allows, verify) a chunk record
-/// at `pos`. Returns the record and its total size, or `None` if the
-/// bytes there are not a believable record.
-fn try_anchor(
-    body: &[u8],
-    pos: usize,
-    width: usize,
-    chunk_elements: u32,
-    version: u8,
-) -> Option<(ChunkRecord, usize)> {
+/// Try to parse (and, where the format allows, verify) a batch chunk
+/// record at `pos`. Returns the record and the offset just past it, or
+/// `None` if the bytes there are not a believable record.
+fn try_anchor(data: &[u8], pos: usize, header: &Header) -> Option<(ChunkRecord, usize)> {
     let (record, used) = ChunkRecord::read_bounded(
-        &body[pos..],
-        width,
-        chunk_elements,
-        version,
+        &data[pos..],
+        header.width as usize,
+        header.chunk_elements,
+        header.version,
         true,
-        (HEADER_LEN + pos) as u64,
+        pos as u64,
     )
     .ok()?;
     // An empty record is structurally valid but can never appear in
-    // healthy output; treating it as an anchor would loop forever.
+    // healthy output.
     if record.elements == 0 {
         return None;
     }
-    Some((record, used))
+    Some((record, pos + used))
+}
+
+/// The per-chunk verdict `fsck` reports for a recognized record.
+fn chunk_status(offset: usize, record: &ChunkRecord, legacy: bool) -> ChunkStatus {
+    ChunkStatus {
+        offset: offset as u64,
+        elements: record.elements,
+        health: if legacy {
+            ChunkHealth::LegacyUnverifiable
+        } else {
+            ChunkHealth::Verified
+        },
+    }
+}
+
+fn damage(offset: usize, len: usize) -> DamageRegion {
+    DamageRegion {
+        offset: offset as u64,
+        len: len as u64,
+    }
 }
 
 /// Walk + verify a batch container without decoding payloads.
@@ -195,7 +241,6 @@ fn try_anchor(
 pub fn fsck_container(data: &[u8]) -> Result<FsckReport, IsobarError> {
     let header = Header::read(data).map_err(|e| e.at(0))?;
     let legacy = header.version < VERSION;
-    let segments = walk_container(data, &header);
     let mut report = FsckReport {
         version: header.version,
         chunks: Vec::new(),
@@ -203,23 +248,17 @@ pub fn fsck_container(data: &[u8]) -> Result<FsckReport, IsobarError> {
         missing_chunks: 0,
         legacy,
     };
-    for seg in &segments {
-        match seg {
-            Segment::Record { offset, record } => report.chunks.push(ChunkStatus {
-                offset: *offset,
-                elements: record.elements,
-                health: if legacy {
-                    ChunkHealth::LegacyUnverifiable
-                } else {
-                    ChunkHealth::Verified
-                },
-            }),
-            Segment::Gap { offset, len } => report.damage.push(DamageRegion {
-                offset: *offset,
-                len: *len,
-            }),
-        }
-    }
+    resync_walk(
+        data,
+        HEADER_LEN,
+        |pos| try_anchor(data, pos, &header),
+        |walked| match walked {
+            Walked::Item { offset, item } => {
+                report.chunks.push(chunk_status(offset, &item, legacy))
+            }
+            Walked::Gap { offset, len } => report.damage.push(damage(offset, len)),
+        },
+    );
     report.missing_chunks = missing_chunks(&header, report.chunks.len() as u64);
     Ok(report)
 }
@@ -235,19 +274,25 @@ pub fn fsck_stream(data: &[u8]) -> Result<FsckReport, IsobarError> {
         missing_chunks: 0,
         legacy,
     };
-    walk_stream(data, version, width, |seg| match seg {
-        StreamSegment::Frame { offset, record } => report.chunks.push(ChunkStatus {
-            offset,
-            elements: record.elements,
-            health: if legacy {
-                ChunkHealth::LegacyUnverifiable
-            } else {
-                ChunkHealth::Verified
-            },
-        }),
-        StreamSegment::Gap { offset, len } => report.damage.push(DamageRegion { offset, len }),
-        StreamSegment::Trailer => {}
-    });
+    resync_walk(
+        data,
+        STREAM_HEADER_LEN,
+        |pos| try_frame(data, pos, version, width),
+        |walked| match walked {
+            // The record starts past the one-byte frame marker.
+            Walked::Item {
+                offset,
+                item: Frame::Chunk(record),
+            } => report
+                .chunks
+                .push(chunk_status(offset + 1, &record, legacy)),
+            Walked::Item {
+                item: Frame::Trailer,
+                ..
+            } => {}
+            Walked::Gap { offset, len } => report.damage.push(damage(offset, len)),
+        },
+    );
     Ok(report)
 }
 
@@ -255,8 +300,9 @@ pub fn fsck_stream(data: &[u8]) -> Result<FsckReport, IsobarError> {
 /// recovered so every intact chunk lands at its original offset.
 ///
 /// Errors only when the file header is unusable or the geometry
-/// (width, total length) is nonsensical — otherwise the output always
-/// has exactly `total_len` bytes.
+/// (width, total length) is nonsensical — a total length more than
+/// [`MAX_FILL_RATIO`] times the surviving evidence counts — otherwise
+/// the output always has exactly `total_len` bytes.
 pub fn salvage_decompress(data: &[u8]) -> Result<(Vec<u8>, SalvageReport), IsobarError> {
     salvage_decompress_recorded(data, &mut Recorder::new())
 }
@@ -274,35 +320,43 @@ pub fn salvage_decompress_recorded(
     }
     let total_elements = header.total_len / width as u64;
     let codec = codec_for(header.codec, header.level);
-    let segments = walk_container(data, &header);
+    let mut segments = Vec::new();
+    resync_walk(
+        data,
+        HEADER_LEN,
+        |pos| try_anchor(data, pos, &header),
+        |walked| segments.push(walked),
+    );
 
     // Element accounting: how many whole chunks vanished, and how many
     // to attribute to each damaged region (longest-first).
-    let records: u64 = segments
-        .iter()
-        .filter(|s| matches!(s, Segment::Record { .. }))
-        .count() as u64;
-    let missing = missing_chunks(&header, records);
-    let gap_shares = share_missing(&segments, missing);
+    // `elements_ahead` counts elements still owed to records not yet
+    // emitted — used to clamp zero fill so a gap can never push
+    // recovered data past its slot.
+    let (records, mut elements_ahead) = segments.iter().fold((0u64, 0u64), |(n, e), s| match s {
+        Walked::Item { item, .. } => (n + 1, e + item.elements as u64),
+        Walked::Gap { .. } => (n, e),
+    });
+    let gap_shares = share_missing(&segments, missing_chunks(&header, records));
+    // The zero fill follows the header's total length, which damage can
+    // inflate without bound: cap it against the evidence at hand.
+    let backed = elements_ahead * width as u64;
+    let evidence = backed.saturating_add(data.len() as u64);
+    if header.total_len.saturating_sub(backed) > evidence.saturating_mul(MAX_FILL_RATIO) {
+        return Err(IsobarError::Corrupt(
+            "total length implausible for the surviving data",
+        ));
+    }
 
-    let mut out = Vec::with_capacity(header.total_len.min(1 << 31) as usize);
+    let mut out = Vec::with_capacity(header.total_len as usize);
     let mut report = SalvageReport::default();
     let mut scratch = PipelineScratch::new();
     let mut gap_index = 0usize;
     let mut chunk_index = 0u32;
-    // Elements still owed to records not yet emitted — used to clamp
-    // zero fill so a gap can never push recovered data past its slot.
-    let mut elements_ahead: u64 = segments
-        .iter()
-        .filter_map(|s| match s {
-            Segment::Record { record, .. } => Some(record.elements as u64),
-            Segment::Gap { .. } => None,
-        })
-        .sum();
 
     for seg in &segments {
         match seg {
-            Segment::Record { record, .. } => {
+            Walked::Item { item: record, .. } => {
                 elements_ahead -= record.elements as u64;
                 let produced = out.len();
                 let decoded = decode_chunk_record(
@@ -331,7 +385,7 @@ pub fn salvage_decompress_recorded(
                 }
                 chunk_index += 1;
             }
-            Segment::Gap { .. } => {
+            Walked::Gap { .. } => {
                 let share = gap_shares[gap_index];
                 gap_index += 1;
                 report.damage_regions += 1;
@@ -410,37 +464,48 @@ pub fn salvage_stream_recorded(
     let mut report = SalvageReport::default();
     let mut scratch = PipelineScratch::new();
     let mut chunk_index = 0u32;
-    walk_stream(data, version, width, |seg| match seg {
-        StreamSegment::Frame { record, .. } => {
-            let produced = out.len();
-            let ok = decode_chunk_record(
-                &record,
-                width as usize,
-                chunk_index,
-                solver.as_ref(),
-                linearization,
-                &mut out,
-                &mut scratch,
-                recorder,
-            )
-            .is_ok();
-            if ok {
-                report.chunks_recovered += 1;
-            } else {
-                out.truncate(produced);
+    resync_walk(
+        data,
+        STREAM_HEADER_LEN,
+        |pos| try_frame(data, pos, version, width),
+        |walked| match walked {
+            Walked::Item {
+                item: Frame::Chunk(record),
+                ..
+            } => {
+                let produced = out.len();
+                let ok = decode_chunk_record(
+                    &record,
+                    width as usize,
+                    chunk_index,
+                    solver.as_ref(),
+                    linearization,
+                    &mut out,
+                    &mut scratch,
+                    recorder,
+                )
+                .is_ok();
+                if ok {
+                    report.chunks_recovered += 1;
+                } else {
+                    out.truncate(produced);
+                    report.chunks_lost += 1;
+                    recorder.incr(Counter::ChunksSkippedCorrupt);
+                }
+                chunk_index += 1;
+            }
+            Walked::Item {
+                item: Frame::Trailer,
+                ..
+            } => {}
+            Walked::Gap { len, .. } => {
+                report.damage_regions += 1;
                 report.chunks_lost += 1;
+                report.bytes_lost += len as u64;
                 recorder.incr(Counter::ChunksSkippedCorrupt);
             }
-            chunk_index += 1;
-        }
-        StreamSegment::Gap { len, .. } => {
-            report.damage_regions += 1;
-            report.chunks_lost += 1;
-            report.bytes_lost += len;
-            recorder.incr(Counter::ChunksSkippedCorrupt);
-        }
-        StreamSegment::Trailer => {}
-    });
+        },
+    );
     Ok((out, report))
 }
 
@@ -464,55 +529,18 @@ fn read_stream_header(data: &[u8]) -> Result<(u8, u8), IsobarError> {
     Ok((version, width))
 }
 
-/// One element of a stream walk.
-enum StreamSegment {
-    Frame { offset: u64, record: ChunkRecord },
-    Gap { offset: u64, len: u64 },
-    Trailer,
-}
-
-/// Walk the frames of a stream, resynchronizing past damage by
-/// scanning for the next frame marker followed by a verifiable record
-/// (or a plausible trailer).
-fn walk_stream<F: FnMut(StreamSegment)>(data: &[u8], version: u8, width: u8, mut visit: F) {
-    let mut pos = STREAM_HEADER_LEN;
-    while pos < data.len() {
-        match try_frame(data, pos, version, width) {
-            Some(FrameAt::Chunk(record, used)) => {
-                visit(StreamSegment::Frame {
-                    offset: (pos + 1) as u64,
-                    record,
-                });
-                pos += used;
-            }
-            Some(FrameAt::Trailer) => {
-                visit(StreamSegment::Trailer);
-                pos = data.len();
-            }
-            None => {
-                let gap_start = pos;
-                pos += 1;
-                while pos < data.len() && try_frame(data, pos, version, width).is_none() {
-                    pos += 1;
-                }
-                visit(StreamSegment::Gap {
-                    offset: gap_start as u64,
-                    len: (pos - gap_start) as u64,
-                });
-            }
-        }
-    }
-}
-
 /// A frame recognized mid-stream.
-enum FrameAt {
-    /// Chunk frame: the record plus total frame size (marker included).
-    Chunk(ChunkRecord, usize),
-    /// End-of-stream trailer at exactly the right distance from EOF.
+enum Frame {
+    /// Chunk frame; its record starts one byte in, past the marker.
+    Chunk(ChunkRecord),
+    /// End-of-stream trailer, which ends exactly at EOF.
     Trailer,
 }
 
-fn try_frame(data: &[u8], pos: usize, version: u8, width: u8) -> Option<FrameAt> {
+/// Try to read a frame at `pos`: a chunk marker followed by a
+/// verifiable record, or a trailer marker exactly one trailer from
+/// EOF. Returns the frame and the offset just past it.
+fn try_frame(data: &[u8], pos: usize, version: u8, width: u8) -> Option<(Frame, usize)> {
     match data[pos] {
         1 => {
             let (record, used) = ChunkRecord::read_bounded(
@@ -527,11 +555,11 @@ fn try_frame(data: &[u8], pos: usize, version: u8, width: u8) -> Option<FrameAt>
             if record.elements == 0 {
                 return None;
             }
-            Some(FrameAt::Chunk(record, 1 + used))
+            Some((Frame::Chunk(record), pos + 1 + used))
         }
         // Only believe a trailer marker when the remaining bytes are
         // exactly one trailer — anything else is damage.
-        0 if data.len() - pos == STREAM_TRAILER_LEN => Some(FrameAt::Trailer),
+        0 if data.len() - pos == STREAM_TRAILER_LEN => Some((Frame::Trailer, data.len())),
         _ => None,
     }
 }
@@ -548,34 +576,22 @@ fn missing_chunks(header: &Header, found: u64) -> u64 {
 }
 
 /// Attribute `missing` whole chunks across the walk's damaged regions:
-/// one each, then surplus to the longest regions first (earliest wins
+/// one each, then the surplus to the longest region (earliest wins
 /// ties). Returns one share per gap, in walk order.
-fn share_missing(segments: &[Segment], missing: u64) -> Vec<u64> {
-    let gaps: Vec<(usize, u64)> = segments
+fn share_missing<T>(segments: &[Walked<T>], missing: u64) -> Vec<u64> {
+    let gaps: Vec<usize> = segments
         .iter()
         .filter_map(|s| match s {
-            Segment::Gap { len, .. } => Some(*len),
-            _ => None,
+            Walked::Gap { len, .. } => Some(*len),
+            Walked::Item { .. } => None,
         })
-        .enumerate()
         .collect();
-    let mut shares = vec![0u64; gaps.len()];
-    if gaps.is_empty() || missing == 0 {
-        return shares;
-    }
-    let mut remaining = missing;
-    for share in shares.iter_mut() {
-        if remaining == 0 {
-            break;
-        }
-        *share = 1;
-        remaining -= 1;
-    }
-    if remaining > 0 {
-        // Longest gap first; ties go to the earlier region.
-        let mut order: Vec<usize> = (0..gaps.len()).collect();
-        order.sort_by_key(|&i| (std::cmp::Reverse(gaps[i].1), i));
-        shares[order[0]] += remaining;
+    let mut shares: Vec<u64> = (0..gaps.len() as u64)
+        .map(|i| u64::from(i < missing))
+        .collect();
+    let longest = (0..gaps.len()).max_by_key(|&i| (gaps[i], std::cmp::Reverse(i)));
+    if let Some(longest) = longest {
+        shares[longest] += missing.saturating_sub(gaps.len() as u64);
     }
     shares
 }
@@ -688,6 +704,22 @@ mod tests {
         assert_eq!(&out[2 * cs..], &data[2 * cs..]);
         assert_eq!(report.chunks_recovered, 3);
         assert_eq!(report.damage_regions, 1);
+    }
+
+    #[test]
+    fn salvage_zero_fill_is_bounded_by_the_evidence() {
+        let (mut packed, data) = small_chunk_container();
+        // One extra chunk's worth of claimed length is plausible damage:
+        // it comes back as trailing zero fill.
+        let grown = data.len() as u64 + 256 * 8;
+        packed[16..24].copy_from_slice(&grown.to_le_bytes());
+        let (out, report) = salvage_decompress(&packed).expect("salvage");
+        assert_eq!(out.len() as u64, grown);
+        assert_eq!(&out[..data.len()], &data[..]);
+        assert_eq!(report.bytes_lost, 256 * 8);
+        // A terabyte claim is refused instead of allocated.
+        packed[16..24].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        assert!(salvage_decompress(&packed).is_err());
     }
 
     #[test]

@@ -47,7 +47,7 @@ use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Once};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -250,49 +250,30 @@ struct StoreState {
     failed: Option<String>,
 }
 
-#[derive(Default)]
-struct Stats {
-    requests: AtomicU64,
-    puts: AtomicU64,
-    gets: AtomicU64,
-    busy: AtomicU64,
-    protocol_errors: AtomicU64,
-    not_found: AtomicU64,
-    commits: AtomicU64,
-    connections: AtomicU64,
-}
-
 struct Shared {
     opts: ServeOptions,
     /// Journal records replayed at startup, for [`ServeReport`].
     wal_replayed: u64,
     shutdown: AtomicBool,
     store: Mutex<StoreState>,
-    metrics: Mutex<TelemetrySnapshot>,
+    /// The counter registry: every count, the merged telemetry, and
+    /// the request histograms (see [`ObsState`]).
     obs: Mutex<ObsState>,
     slow_log: SlowLog,
-    stats: Stats,
 }
 
 impl Shared {
-    fn merge_recorder(&self, recorder: &mut Recorder) {
-        let snap = recorder.snapshot();
-        self.metrics
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .merge(&snap);
-        recorder.reset();
-    }
-
     fn lock_obs(&self) -> MutexGuard<'_, ObsState> {
         self.obs.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Fold one completed request into the observability state: per-op
-    /// and per-tenant histograms, phase totals, the recent-request
-    /// ring, slow accounting, and (rate limited) a slow-triggered
-    /// flight dump.
+    /// Fold one completed request into the registry under one lock: its
+    /// counts and recorder, the per-op and per-tenant histograms, phase
+    /// totals, the recent-request ring, slow accounting — then, rate
+    /// limited, a slow-triggered flight dump.
     fn finish_request(&self, obs: RequestObs, total_nanos: u64, recorder: &mut Recorder) {
+        let snapshot = recorder.snapshot();
+        recorder.reset();
         let record = RequestRecord {
             op: obs.op,
             tenant: obs.tenant,
@@ -302,11 +283,13 @@ impl Shared {
         };
         let slow_nanos = self.opts.slow_ms.map(|ms| ms.saturating_mul(1_000_000));
         let dumps_enabled = self.opts.flight_recorder.is_some();
-        let (slow, dump_due) =
-            self.lock_obs()
-                .record_request(record.clone(), slow_nanos, dumps_enabled);
+        let (slow, dump_due) = {
+            let mut registry = self.lock_obs();
+            registry.counts.add(&obs.counts);
+            registry.telemetry.merge(&snapshot);
+            registry.record_request(record.clone(), slow_nanos, dumps_enabled)
+        };
         if slow {
-            recorder.incr(Counter::ServeSlowRequests);
             if let Some(dir) = &self.opts.flight_recorder {
                 self.slow_log.append(dir, &record);
             }
@@ -324,10 +307,7 @@ impl Shared {
         let dir = self.opts.flight_recorder.as_ref()?;
         match obs::dump_flight_trace(dir, reason) {
             Ok(path) => {
-                self.lock_obs().flight_dumps += 1;
-                let mut recorder = Recorder::new();
-                recorder.incr(Counter::ServeFlightDumps);
-                self.merge_recorder(&mut recorder);
+                self.lock_obs().counts.flight_dumps += 1;
                 Some(path)
             }
             Err(_) => None,
@@ -354,15 +334,12 @@ impl Shared {
                 return Err(e);
             }
         };
-        self.stats.commits.fetch_add(1, Ordering::Relaxed);
-        recorder.incr(Counter::ServeCommits);
         if outcome.wal_truncated > 0 {
             recorder.add(Counter::ServeWalTruncations, outcome.wal_truncated);
         }
-        self.metrics
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .merge(&outcome.telemetry);
+        let mut registry = self.lock_obs();
+        registry.counts.commits += 1;
+        registry.telemetry.merge(&outcome.telemetry);
         Ok(())
     }
 }
@@ -433,7 +410,7 @@ pub fn serve(
         },
     )?;
     let wal_replayed = core.replay.records;
-    let initial_metrics = {
+    let initial_telemetry = {
         let mut recorder = Recorder::new();
         if wal_replayed > 0 {
             recorder.add(Counter::ServeWalReplayed, wal_replayed);
@@ -466,10 +443,11 @@ pub fn serve(
             reserved_bytes: 0,
             failed: None,
         }),
-        metrics: Mutex::new(initial_metrics),
-        obs: Mutex::new(ObsState::default()),
+        obs: Mutex::new(ObsState {
+            telemetry: initial_telemetry,
+            ..Default::default()
+        }),
         slow_log: SlowLog::default(),
-        stats: Stats::default(),
     });
 
     let accept = {
@@ -530,44 +508,29 @@ impl Server {
         }
         let shared = &self.shared;
         let mut recorder = Recorder::new();
-        let commit_result = {
+        let (commit_result, generation) = {
             let mut state = shared.store.lock().unwrap_or_else(|e| e.into_inner());
-            shared.commit_locked(&mut state, &mut recorder)
+            let result = shared.commit_locked(&mut state, &mut recorder);
+            (result, state.core.last_generation)
         };
-        shared.merge_recorder(&mut recorder);
-        let (slow_requests, flight_dumps, total_request_nanos, phase_nanos) = {
-            let obs = shared.lock_obs();
-            (
-                obs.slow_requests,
-                obs.flight_dumps,
-                obs.total_request_nanos,
-                obs.phase_nanos,
-            )
-        };
+        let mut registry = shared.lock_obs();
+        registry.telemetry.merge(&recorder.snapshot());
+        let c = registry.counts;
         let report = ServeReport {
-            requests: shared.stats.requests.load(Ordering::Relaxed),
-            puts: shared.stats.puts.load(Ordering::Relaxed),
-            gets: shared.stats.gets.load(Ordering::Relaxed),
-            busy_rejected: shared.stats.busy.load(Ordering::Relaxed),
-            protocol_errors: shared.stats.protocol_errors.load(Ordering::Relaxed),
-            not_found: shared.stats.not_found.load(Ordering::Relaxed),
-            commits: shared.stats.commits.load(Ordering::Relaxed),
-            generation: shared
-                .store
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .core
-                .last_generation,
+            requests: c.requests,
+            puts: c.puts,
+            gets: c.gets,
+            busy_rejected: c.busy_rejected,
+            protocol_errors: c.protocol_errors,
+            not_found: c.not_found,
+            commits: c.commits,
+            generation,
             wal_replayed: shared.wal_replayed,
-            slow_requests,
-            flight_dumps,
-            total_request_nanos,
-            phase_nanos,
-            telemetry: shared
-                .metrics
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .clone(),
+            slow_requests: c.slow_requests,
+            flight_dumps: c.flight_dumps,
+            total_request_nanos: registry.total_request_nanos,
+            phase_nanos: registry.phase_nanos,
+            telemetry: registry.telemetry_snapshot(),
         };
         commit_result?;
         Ok(report)
@@ -598,12 +561,12 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
         let Ok(stream) = stream else { continue };
         handlers.retain(|h| !h.is_finished());
         if handlers.len() >= shared.opts.max_connections {
-            shared.stats.busy.fetch_add(1, Ordering::Relaxed);
+            shared.lock_obs().counts.busy_rejected += 1;
             let mut stream = stream;
             let _ = write_response(&mut stream, Status::Busy, b"connection limit reached");
             continue;
         }
-        shared.stats.connections.fetch_add(1, Ordering::Relaxed);
+        shared.lock_obs().counts.connections += 1;
         let shared = Arc::clone(shared);
         // Stamp the hand-off so the gap between accept and the handler
         // thread starting is attributed to the first request's accept
@@ -705,10 +668,7 @@ impl Read for FrameStream<'_> {
         }
         let remaining = (self.deadline - now).max(Duration::from_millis(1));
         if !set_read_timeout_checked(self.stream, remaining) {
-            return Err(io::Error::new(
-                io::ErrorKind::Other,
-                "cannot arm frame deadline",
-            ));
+            return Err(io::Error::other("cannot arm frame deadline"));
         }
         match self.stream.read(buf) {
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => Err(io::Error::new(
@@ -759,22 +719,20 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, accept_nanos: u64) 
         let mut header_buf = [0u8; REQUEST_HEADER_LEN];
         header_buf[0] = first;
         if frame.read_exact(&mut header_buf[1..]).is_err() {
-            count_protocol_error(shared, &mut recorder);
+            shared.lock_obs().counts.protocol_errors += 1;
             break;
         }
         let header = match parse_request_header(&header_buf, shared.opts.max_payload) {
             Ok(header) => header,
             Err(e) => {
                 drop(header_span);
-                count_protocol_error(shared, &mut recorder);
+                shared.lock_obs().counts.protocol_errors += 1;
                 let _ = write_response(&mut frame, Status::BadRequest, e.to_string().as_bytes());
                 // The stream may be mid-frame; alignment is gone.
                 break;
             }
         };
         drop(header_span);
-        shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-        recorder.incr(Counter::ServeRequests);
         obs.op = obs::op_index(header.opcode);
         // Everything since the first byte — the timeout setup syscall,
         // the header read and decode, and dispatch bookkeeping — is
@@ -789,17 +747,10 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, accept_nanos: u64) 
         let total_nanos = (request_start.elapsed().as_nanos() as u64)
             .saturating_add(obs.phase_nanos[ServePhase::Accept as usize]);
         shared.finish_request(obs, total_nanos, &mut recorder);
-        shared.merge_recorder(&mut recorder);
         if !keep {
             break;
         }
     }
-    shared.merge_recorder(&mut recorder);
-}
-
-fn count_protocol_error(shared: &Shared, recorder: &mut Recorder) {
-    shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-    recorder.incr(Counter::ServeProtocolErrors);
 }
 
 /// Acquire the store mutex with the wait attributed to the request's
@@ -842,26 +793,23 @@ fn handle_request(
     let (tenant, name) = match fields {
         Ok(fields) => fields,
         Err(crate::protocol::FrameError::Proto(e)) => {
-            count_protocol_error(shared, recorder);
+            obs.counts.protocol_errors += 1;
             // The identifier bytes were consumed, so the stream is
             // still frame-aligned for everything but the payload.
             // Drain a small payload to keep the connection; a large
             // one is answered and dropped (bounded drain).
+            let message = e.to_string();
             if u64::from(header.payload_len) > MAX_DRAIN_BYTES {
-                respond(stream, obs, Status::BadRequest, e.to_string().as_bytes());
+                respond(stream, obs, Status::BadRequest, message.as_bytes());
                 return false;
             }
-            if header.payload_len > 0 {
-                let drained = obs.time(ServePhase::PayloadRead, || {
-                    discard_exact(stream, u64::from(header.payload_len))
-                });
-                if drained.is_err() {
-                    obs.status = obs::status_name(Status::BadRequest);
-                    return false;
-                }
-            }
-            respond(stream, obs, Status::BadRequest, e.to_string().as_bytes());
-            return true;
+            return reject_unread(
+                stream,
+                obs,
+                header.payload_len,
+                Status::BadRequest,
+                &message,
+            );
         }
         Err(crate::protocol::FrameError::Io(_)) => return false,
     };
@@ -874,12 +822,12 @@ fn handle_request(
     }
 }
 
-/// Reject a put whose payload is still unread: drain it in bounded
+/// Reject a request whose payload is still unread: drain it in bounded
 /// chunks to stay frame-aligned (under the frame deadline), then
-/// answer `status`. Unlike the malformed-field path, a Busy or
-/// ShuttingDown rejection always drains — well-behaved clients retry
-/// on the same connection.
-fn reject_put(
+/// answer `status`. A Busy or ShuttingDown put always drains —
+/// well-behaved clients retry on the same connection; the
+/// malformed-field path drains only up to [`MAX_DRAIN_BYTES`].
+fn reject_unread(
     stream: &mut FrameStream<'_>,
     obs: &mut RequestObs,
     payload_len: u32,
@@ -908,7 +856,7 @@ fn handle_put(
 ) -> bool {
     let len = u64::from(header.payload_len);
     if shared.shutdown.load(Ordering::SeqCst) {
-        return reject_put(
+        return reject_unread(
             stream,
             obs,
             header.payload_len,
@@ -937,10 +885,9 @@ fn handle_put(
         unlock_store(state, obs);
         if let Some((status, message)) = verdict {
             if status == Status::Busy {
-                shared.stats.busy.fetch_add(1, Ordering::Relaxed);
-                recorder.incr(Counter::ServeBusyRejected);
+                obs.counts.busy_rejected += 1;
             }
-            return reject_put(stream, obs, header.payload_len, status, &message);
+            return reject_unread(stream, obs, header.payload_len, status, &message);
         }
     }
     let unreserve = |shared: &Shared| {
@@ -959,11 +906,13 @@ fn handle_put(
     };
     let mut state = lock_store(shared, obs);
     state.reserved_bytes = state.reserved_bytes.saturating_sub(len);
-    let result = put_locked(shared, &mut state, header, tenant, name, payload, recorder, obs);
+    let result = put_locked(
+        shared, &mut state, header, tenant, name, payload, recorder, obs,
+    );
     unlock_store(state, obs);
     match result {
         Ok(()) => {
-            shared.stats.puts.fetch_add(1, Ordering::Relaxed);
+            obs.counts.puts += 1;
             recorder.add(Counter::ServePutBytes, len);
             respond(stream, obs, Status::Ok, b"");
             true
@@ -993,9 +942,12 @@ fn put_locked(
 ) -> Result<(), StoreError> {
     let key = store_key(tenant, name);
     obs.time(ServePhase::StorePut, || {
-        state
-            .core
-            .store_put(header.step, &key, payload.clone(), usize::from(header.width))
+        state.core.store_put(
+            header.step,
+            &key,
+            payload.clone(),
+            usize::from(header.width),
+        )
     })?;
     let wal_bytes = obs.time(ServePhase::WalFsync, || {
         state
@@ -1014,9 +966,7 @@ fn put_locked(
     if state.core.over_threshold() {
         // commit_locked emits its own ServeCommit span; attribute the
         // wall time without opening a duplicate.
-        obs.time_unspanned(ServePhase::Commit, || {
-            shared.commit_locked(state, recorder)
-        })?;
+        obs.time_unspanned(ServePhase::Commit, || shared.commit_locked(state, recorder))?;
     }
     Ok(())
 }
@@ -1039,40 +989,19 @@ fn handle_get(
             .get(&(step, key.clone()))
             .map(|entry| entry.data.clone())
     });
-    if let Some(data) = overlay_hit {
-        unlock_store(state, obs);
-        shared.stats.gets.fetch_add(1, Ordering::Relaxed);
-        recorder.add(Counter::ServeGetBytes, data.len() as u64);
-        respond(stream, obs, Status::Ok, &data);
-        return true;
-    }
-    let result = obs.time(ServePhase::StoreGet, || match &state.core.reader {
-        Some(reader) => reader.get(step, &key),
-        None => Err(StoreError::NotFound {
-            step,
-            name: key.clone(),
+    let result = match overlay_hit {
+        Some(data) => Ok(data),
+        None => obs.time(ServePhase::StoreGet, || match &state.core.reader {
+            Some(reader) => reader.get(step, &key),
+            None => Err(StoreError::NotFound { step, name: key }),
         }),
-    });
+    };
     unlock_store(state, obs);
-    match result {
-        Ok(data) => {
-            shared.stats.gets.fetch_add(1, Ordering::Relaxed);
-            recorder.add(Counter::ServeGetBytes, data.len() as u64);
-            respond(stream, obs, Status::Ok, &data);
-        }
-        Err(StoreError::NotFound { .. }) => {
-            shared.stats.not_found.fetch_add(1, Ordering::Relaxed);
-            respond(
-                stream,
-                obs,
-                Status::NotFound,
-                format!("no variable '{name}' at step {step}").as_bytes(),
-            );
-        }
-        Err(e) => {
-            respond(stream, obs, Status::ServerError, e.to_string().as_bytes());
-        }
+    if let Ok(data) = &result {
+        obs.counts.gets += 1;
+        recorder.add(Counter::ServeGetBytes, data.len() as u64);
     }
+    respond_lookup(stream, obs, step, name, result);
     true
 }
 
@@ -1095,42 +1024,41 @@ fn handle_stat(
             )
         })
     });
-    if let Some(line) = overlay_line {
-        unlock_store(state, obs);
-        respond(stream, obs, Status::Ok, line.as_bytes());
-        return true;
-    }
-    let line = obs.time(ServePhase::StoreGet, || match &state.core.reader {
-        Some(reader) => reader.entry(step, &key).map(|entry| {
-            format!(
-                "name={name} step={step} raw_len={} container_len={} width={} committed=true\n",
-                entry.raw_len, entry.container_len, entry.width
-            )
+    let result = match overlay_line {
+        Some(line) => Ok(line),
+        None => obs.time(ServePhase::StoreGet, || match &state.core.reader {
+            Some(reader) => reader.entry(step, &key).map(|entry| {
+                format!(
+                    "name={name} step={step} raw_len={} container_len={} width={} committed=true\n",
+                    entry.raw_len, entry.container_len, entry.width
+                )
+            }),
+            None => Err(StoreError::NotFound { step, name: key }),
         }),
-        None => Err(StoreError::NotFound {
-            step,
-            name: key.clone(),
-        }),
-    });
+    };
     unlock_store(state, obs);
-    match line {
-        Ok(line) => {
-            respond(stream, obs, Status::Ok, line.as_bytes());
-        }
-        Err(StoreError::NotFound { .. }) => {
-            shared.stats.not_found.fetch_add(1, Ordering::Relaxed);
-            respond(
-                stream,
-                obs,
-                Status::NotFound,
-                format!("no variable '{name}' at step {step}").as_bytes(),
-            );
-        }
-        Err(e) => {
-            respond(stream, obs, Status::ServerError, e.to_string().as_bytes());
-        }
-    }
+    respond_lookup(stream, obs, step, name, result);
     true
+}
+
+/// Answer a get or stat with its body, `NotFound` (counted), or the
+/// store error.
+fn respond_lookup(
+    stream: &mut FrameStream<'_>,
+    obs: &mut RequestObs,
+    step: u32,
+    name: &str,
+    result: Result<impl AsRef<[u8]>, StoreError>,
+) {
+    match result {
+        Ok(body) => respond(stream, obs, Status::Ok, body.as_ref()),
+        Err(StoreError::NotFound { .. }) => {
+            obs.counts.not_found += 1;
+            let message = format!("no variable '{name}' at step {step}");
+            respond(stream, obs, Status::NotFound, message.as_bytes());
+        }
+        Err(e) => respond(stream, obs, Status::ServerError, e.to_string().as_bytes()),
+    }
 }
 
 fn handle_ls(
@@ -1206,33 +1134,26 @@ fn metrics_loop(shared: &Arc<Shared>, listener: TcpListener) {
             .next()
             .unwrap_or("");
         let path = line.split_whitespace().nth(1).unwrap_or("");
-        if line.starts_with("GET ") && path == "/metrics" {
-            let mut body = shared
-                .metrics
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .to_prometheus();
-            shared.lock_obs().render_prometheus(&mut body);
-            let _ = write!(
-                stream,
-                "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\n\r\n{}",
-                body.len(),
-                body
-            );
+        let (status, content_type, body) = if line.starts_with("GET ") && path == "/metrics" {
+            let registry = shared.lock_obs();
+            let mut body = registry.telemetry_snapshot().to_prometheus();
+            registry.render_prometheus(&mut body);
+            (
+                "200 OK",
+                "Content-Type: text/plain; version=0.0.4\r\n",
+                body,
+            )
         } else if line.starts_with("GET ") && path == "/debug/stats" && shared.opts.debug_endpoint {
             let body = debug_stats_json(shared);
-            let _ = write!(
-                stream,
-                "HTTP/1.0 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{}",
-                body.len(),
-                body
-            );
+            ("200 OK", "Content-Type: application/json\r\n", body)
         } else {
-            let _ = write!(
-                stream,
-                "HTTP/1.0 404 Not Found\r\nContent-Length: 0\r\n\r\n"
-            );
-        }
+            ("404 Not Found", "", String::new())
+        };
+        let _ = write!(
+            stream,
+            "HTTP/1.0 {status}\r\n{content_type}Content-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
         let _ = stream.flush();
     }
 }
@@ -1252,19 +1173,21 @@ fn debug_stats_json(shared: &Shared) -> String {
             state.failed.clone(),
         )
     };
+    let registry = shared.lock_obs();
+    let c = &registry.counts;
     let mut out = String::with_capacity(4096);
     out.push('{');
     out.push_str(&format!(
         "\"connections\": {}, \"requests\": {}, \"puts\": {}, \"gets\": {}, \
          \"busy_rejected\": {}, \"protocol_errors\": {}, \"not_found\": {}, \"commits\": {}",
-        shared.stats.connections.load(Ordering::Relaxed),
-        shared.stats.requests.load(Ordering::Relaxed),
-        shared.stats.puts.load(Ordering::Relaxed),
-        shared.stats.gets.load(Ordering::Relaxed),
-        shared.stats.busy.load(Ordering::Relaxed),
-        shared.stats.protocol_errors.load(Ordering::Relaxed),
-        shared.stats.not_found.load(Ordering::Relaxed),
-        shared.stats.commits.load(Ordering::Relaxed),
+        c.connections,
+        c.requests,
+        c.puts,
+        c.gets,
+        c.busy_rejected,
+        c.protocol_errors,
+        c.not_found,
+        c.commits,
     ));
     out.push_str(&format!(
         ", \"overlay_entries\": {overlay_entries}, \"overlay_bytes\": {overlay_bytes}, \
@@ -1288,7 +1211,7 @@ fn debug_stats_json(shared: &Shared) -> String {
         None => out.push_str(", \"failed\": null"),
     }
     out.push_str(", ");
-    shared.lock_obs().write_debug_json(&mut out);
+    registry.write_debug_json(&mut out);
     out.push('}');
     out
 }

@@ -34,11 +34,11 @@ pub use client::Client;
 pub use core::{CoreOptions, StoreCore};
 pub use daemon::{serve, ServeError, ServeOptions, ServeReport, Server, ServerHandle};
 pub use obs::{RequestRecord, ServePhase};
-pub use retry::{RetryClient, RetryPolicy};
 pub use protocol::{
     FrameError, Opcode, ProtoError, Request, RequestHeader, Response, Status, MAX_NAME_LEN,
     MAX_TENANT_LEN, PROTOCOL_VERSION,
 };
+pub use retry::{RetryClient, RetryPolicy};
 
 #[cfg(test)]
 mod tests {
@@ -191,6 +191,40 @@ mod tests {
     }
 
     #[test]
+    fn connection_limit_answers_busy_and_counts_it_once() {
+        let dir = tmp("connlimit");
+        let opts = ServeOptions {
+            max_connections: 1,
+            ..small_options()
+        };
+        let server = serve(&dir, "127.0.0.1:0", None, opts).unwrap();
+        let mut held = Client::connect(server.local_addr()).unwrap();
+        // A completed round trip proves the held connection owns the
+        // only handler slot.
+        assert_eq!(held.ls("").unwrap().status, Status::Ok);
+        let mut second = TcpStream::connect(server.local_addr()).unwrap();
+        second
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        let resp = protocol::read_response(&mut second, 1 << 20).unwrap();
+        assert_eq!(resp.status, Status::Busy);
+
+        drop(second);
+        drop(held);
+        server.shutdown();
+        let report = server.join().unwrap();
+        assert_eq!(report.busy_rejected, 1);
+        assert_eq!(
+            report
+                .telemetry
+                .counter(isobar::telemetry::Counter::ServeBusyRejected),
+            1
+        );
+        assert_eq!(report.requests, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn malformed_frames_get_bad_request_and_daemon_survives() {
         let dir = tmp("malformed");
         let server = serve(&dir, "127.0.0.1:0", None, small_options()).unwrap();
@@ -287,10 +321,24 @@ mod tests {
         assert_eq!(resp.status, Status::Ok);
 
         let metrics_addr = server.metrics_addr().unwrap();
-        let mut http = TcpStream::connect(metrics_addr).unwrap();
-        http.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
-        let mut body = String::new();
-        http.read_to_string(&mut body).unwrap();
+        // The ls response is written before the ls request reaches the
+        // registry, so scrape until all three requests have landed.
+        let requests_total = |body: &str| {
+            body.lines()
+                .find_map(|l| l.strip_prefix("isobar_serve_requests_total "))
+                .and_then(|v| v.parse::<u64>().ok())
+        };
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let body = loop {
+            let mut http = TcpStream::connect(metrics_addr).unwrap();
+            http.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
+            let mut body = String::new();
+            http.read_to_string(&mut body).unwrap();
+            if requests_total(&body) == Some(3) || std::time::Instant::now() > deadline {
+                break body;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        };
         assert!(body.starts_with("HTTP/1.0 200 OK"), "{body}");
         // The Prometheus text exposition Content-Type, version pinned.
         assert!(
@@ -315,13 +363,14 @@ mod tests {
         // Unknown paths get a 404, not a panic or a hang.
         let mut http = TcpStream::connect(metrics_addr).unwrap();
         http.write_all(b"GET /nope HTTP/1.0\r\n\r\n").unwrap();
-        let mut body = String::new();
-        http.read_to_string(&mut body).unwrap();
-        assert!(body.starts_with("HTTP/1.0 404"), "{body}");
+        let mut missing = String::new();
+        http.read_to_string(&mut missing).unwrap();
+        assert!(missing.starts_with("HTTP/1.0 404"), "{missing}");
 
         drop(client);
         server.shutdown();
-        server.join().unwrap();
+        let report = server.join().unwrap();
+        assert_eq!(requests_total(&body), Some(report.requests), "{body}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -348,7 +397,8 @@ mod tests {
 
         let metrics_addr = server.metrics_addr().unwrap();
         let mut http = TcpStream::connect(metrics_addr).unwrap();
-        http.write_all(b"GET /debug/stats HTTP/1.0\r\n\r\n").unwrap();
+        http.write_all(b"GET /debug/stats HTTP/1.0\r\n\r\n")
+            .unwrap();
         let mut body = String::new();
         http.read_to_string(&mut body).unwrap();
         assert!(body.starts_with("HTTP/1.0 200 OK"), "{body}");
@@ -366,7 +416,10 @@ mod tests {
         ] {
             assert!(body.contains(key), "missing {key}: {body}");
         }
-        assert!(body.contains("\"acme\""), "tenant histogram present: {body}");
+        assert!(
+            body.contains("\"acme\""),
+            "tenant histogram present: {body}"
+        );
 
         drop(client);
         // The SIGUSR1 path: dump through the handle, then check the
@@ -587,10 +640,8 @@ mod tests {
         let addr = server.local_addr();
         let mut resets = 0u64;
         {
-            let mut client = retry::RetryClient::new(
-                retry::RetryPolicy::default(),
-                0xC0FFEE,
-                move || {
+            let mut client =
+                retry::RetryClient::new(retry::RetryPolicy::default(), 0xC0FFEE, move || {
                     let stream = TcpStream::connect(addr)?;
                     stream.set_nodelay(true)?;
                     stream.set_read_timeout(Some(std::time::Duration::from_secs(5)))?;
@@ -607,8 +658,7 @@ mod tests {
                             ..ChaosConfig::quiet(resets)
                         },
                     )))
-                },
-            );
+                });
             for step in 0..16u32 {
                 let data = payload(2048, step as u8);
                 let resp = client.put("acme", step, "var", 8, &data).unwrap();

@@ -16,6 +16,12 @@
 //!   [`LatencyHistogram`]s record every request's wall time, always on,
 //!   exported through `/metrics` and `/debug/stats`.
 //!
+//! [`ObsState`] is also the daemon's one counter registry: every event
+//! count (requests, puts, busy rejections, commits, slow requests, …)
+//! and the merged telemetry snapshot live there under one mutex, so
+//! `/metrics`, `/debug/stats` and the final `ServeReport` read the
+//! same numbers whether or not telemetry is compiled in.
+//!
 //! The flight recorder keeps the daemon's trace rings warm
 //! (`isobar_trace` is activated when a dump directory is configured)
 //! and writes Chrome trace dumps on SIGUSR1, on panic, and — rate
@@ -24,7 +30,9 @@
 //! with their full phase breakdown.
 
 use isobar::telemetry::latency::LatencyHistogram;
+use isobar::telemetry::Counter;
 use isobar::trace::TraceTag;
+use isobar::TelemetrySnapshot;
 use std::collections::VecDeque;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -156,8 +164,63 @@ impl ServePhase {
     }
 }
 
+/// The daemon's event counts. Always on: unlike the telemetry
+/// `Recorder`, these count in the telemetry-off build too.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServeCounts {
+    /// Connections handed to a handler thread.
+    pub connections: u64,
+    /// Requests with a well-formed header that were dispatched.
+    pub requests: u64,
+    /// Successful puts.
+    pub puts: u64,
+    /// Successful gets.
+    pub gets: u64,
+    /// Requests or connections refused by admission control.
+    pub busy_rejected: u64,
+    /// Malformed frames rejected with `BadRequest`.
+    pub protocol_errors: u64,
+    /// Lookups answered `NotFound`.
+    pub not_found: u64,
+    /// Store generations committed.
+    pub commits: u64,
+    /// Requests past the slow threshold.
+    pub slow_requests: u64,
+    /// Flight-recorder dumps written.
+    pub flight_dumps: u64,
+}
+
+impl ServeCounts {
+    /// Add every count of `other` into `self`.
+    pub fn add(&mut self, other: &ServeCounts) {
+        let ServeCounts {
+            connections,
+            requests,
+            puts,
+            gets,
+            busy_rejected,
+            protocol_errors,
+            not_found,
+            commits,
+            slow_requests,
+            flight_dumps,
+        } = *other;
+        self.connections += connections;
+        self.requests += requests;
+        self.puts += puts;
+        self.gets += gets;
+        self.busy_rejected += busy_rejected;
+        self.protocol_errors += protocol_errors;
+        self.not_found += not_found;
+        self.commits += commits;
+        self.slow_requests += slow_requests;
+        self.flight_dumps += flight_dumps;
+    }
+}
+
 /// Per-request phase accumulator, threaded through the handlers like
-/// the telemetry `Recorder`.
+/// the telemetry `Recorder`. Handlers also count the request's events
+/// on it; they reach the registry when the request finishes.
 ///
 /// Attribution is a *boundary clock*: `mark` is the end of the last
 /// attributed stretch, and each phase charges everything from there to
@@ -177,6 +240,8 @@ pub struct RequestObs {
     pub tenant: String,
     /// Final response status name (see [`status_name`]).
     pub status: &'static str,
+    /// Events this request counted.
+    pub counts: ServeCounts,
     /// End of the last attributed stretch.
     mark: Instant,
 }
@@ -188,6 +253,7 @@ impl Default for RequestObs {
             op: usize::MAX,
             tenant: String::new(),
             status: "ok",
+            counts: ServeCounts::default(),
             mark: Instant::now(),
         }
     }
@@ -238,11 +304,6 @@ impl RequestObs {
         self.charge(phase);
         out
     }
-
-    /// Nanoseconds attributed across all phases.
-    pub fn attributed_nanos(&self) -> u64 {
-        self.phase_nanos.iter().fold(0u64, |a, &b| a.saturating_add(b))
-    }
 }
 
 /// One completed request, as kept in the recent-request ring and
@@ -270,26 +331,36 @@ impl RequestRecord {
 
     /// Serialize as one JSON object (one slow-log line, sans newline).
     pub fn to_json(&self) -> String {
-        let attributed: u64 = self.phase_nanos.iter().fold(0u64, |a, &b| a.saturating_add(b));
+        let attributed: u64 = self
+            .phase_nanos
+            .iter()
+            .fold(0u64, |a, &b| a.saturating_add(b));
         let mut out = String::with_capacity(256);
         out.push_str(&format!(
             "{{\"op\": \"{}\", \"tenant\": \"{}\", \"status\": \"{}\", \
-             \"total_nanos\": {}, \"attributed_nanos\": {}, \"phases\": {{",
+             \"total_nanos\": {}, \"attributed_nanos\": {}, \"phases\": ",
             self.op_name(),
             escape_json(&self.tenant),
             self.status,
             self.total_nanos,
             attributed,
         ));
-        for (i, phase) in ServePhase::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{}\": {}", phase.name(), self.phase_nanos[i]));
-        }
-        out.push_str("}}");
+        write_phases_json(&mut out, &self.phase_nanos);
+        out.push('}');
         out
     }
+}
+
+/// Append `{"<phase>": nanos, ...}` for every phase.
+fn write_phases_json(out: &mut String, phase_nanos: &[u64; ServePhase::COUNT]) {
+    out.push('{');
+    for (i, phase) in ServePhase::ALL.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(&format!("\"{}\": {}", phase.name(), phase_nanos[i]));
+    }
+    out.push('}');
 }
 
 pub(crate) fn escape_json(s: &str) -> String {
@@ -305,11 +376,14 @@ pub(crate) fn escape_json(s: &str) -> String {
     out
 }
 
-/// Mutable observability state, one per daemon, behind a mutex taken
-/// once per request (the same discipline as the telemetry snapshot
-/// merge).
+/// Mutable observability state and counter registry, one per daemon,
+/// behind a mutex taken once per request.
 #[derive(Debug, Default)]
 pub struct ObsState {
+    /// Every daemon event count.
+    pub counts: ServeCounts,
+    /// Telemetry merged from every request's recorder and every commit.
+    pub telemetry: TelemetrySnapshot,
     /// Per-op request-latency histograms, indexed by [`op_index`].
     pub per_op: [LatencyHistogram; 4],
     /// Per-tenant histograms, first-come order, capped at
@@ -320,10 +394,6 @@ pub struct ObsState {
     pub phase_nanos: [u64; ServePhase::COUNT],
     /// Cumulative request wall time, nanoseconds.
     pub total_request_nanos: u64,
-    /// Requests past the slow threshold.
-    pub slow_requests: u64,
-    /// Flight-recorder dumps written.
-    pub flight_dumps: u64,
     /// Most recent completed requests, oldest first.
     pub recent: VecDeque<RequestRecord>,
     /// Last slow-triggered dump, for rate limiting.
@@ -331,8 +401,26 @@ pub struct ObsState {
 }
 
 impl ObsState {
-    /// Fold one completed request into the histograms, phase totals,
-    /// and recent ring. Returns whether the request was slow (past
+    /// [`ObsState::telemetry`] with the counts that also have a
+    /// telemetry [`Counter`] written into their slots.
+    pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
+        let mut snapshot = self.telemetry.clone();
+        let c = &self.counts;
+        for (counter, value) in [
+            (Counter::ServeRequests, c.requests),
+            (Counter::ServeBusyRejected, c.busy_rejected),
+            (Counter::ServeProtocolErrors, c.protocol_errors),
+            (Counter::ServeCommits, c.commits),
+            (Counter::ServeSlowRequests, c.slow_requests),
+            (Counter::ServeFlightDumps, c.flight_dumps),
+        ] {
+            snapshot.counters[counter as usize] = value;
+        }
+        snapshot
+    }
+
+    /// Fold one completed request into the request count, histograms,
+    /// phase totals, and recent ring. Returns whether the request was slow (past
     /// `slow_nanos`) and whether a slow-triggered flight dump is due.
     pub fn record_request(
         &mut self,
@@ -340,6 +428,7 @@ impl ObsState {
         slow_nanos: Option<u64>,
         dumps_enabled: bool,
     ) -> (bool, bool) {
+        self.counts.requests += 1;
         if record.op < OP_NAMES.len() {
             self.per_op[record.op].record(record.total_nanos);
         }
@@ -370,7 +459,7 @@ impl ObsState {
         self.recent.push_back(record);
         let mut dump_due = false;
         if slow {
-            self.slow_requests += 1;
+            self.counts.slow_requests += 1;
             if dumps_enabled {
                 let due = self
                     .last_slow_dump
@@ -433,22 +522,13 @@ impl ObsState {
     pub fn write_debug_json(&self, out: &mut String) {
         out.push_str(&format!(
             "\"total_request_nanos\": {}, \"slow_requests\": {}, \"flight_dumps\": {}",
-            self.total_request_nanos, self.slow_requests, self.flight_dumps
+            self.total_request_nanos, self.counts.slow_requests, self.counts.flight_dumps
         ));
         out.push_str(", \"lock_wait_nanos\": ");
         out.push_str(&self.phase_nanos[ServePhase::LockWait as usize].to_string());
-        out.push_str(", \"phases\": {");
-        for (i, phase) in ServePhase::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "\"{}\": {}",
-                phase.name(),
-                self.phase_nanos[i]
-            ));
-        }
-        out.push_str("}, \"ops\": {");
+        out.push_str(", \"phases\": ");
+        write_phases_json(out, &self.phase_nanos);
+        out.push_str(", \"ops\": {");
         for (i, (op, hist)) in OP_NAMES.iter().zip(&self.per_op).enumerate() {
             if i > 0 {
                 out.push_str(", ");
@@ -613,7 +693,7 @@ mod tests {
         // Immediately after: slow again, but the dump is rate limited.
         let (slow, dump) = state.record_request(record(200), Some(100), true);
         assert!(slow && !dump);
-        assert_eq!(state.slow_requests, 2);
+        assert_eq!(state.counts.slow_requests, 2);
         // No threshold, nothing is slow.
         let (slow, _) = state.record_request(record(u64::MAX), None, true);
         assert!(!slow);

@@ -38,8 +38,9 @@
 //! A crash can tear the last record (the kernel flushed a prefix of
 //! the dying write). Replay walks records sequentially and, at the
 //! first length or checksum mismatch, scans forward for the next
-//! `ISWR` anchor whose record verifies — the same checksum-anchor
-//! resync idiom the salvage walkers use for containers and stores.
+//! `ISWR` anchor whose record verifies — the shared
+//! [`isobar::salvage::resync_walk`] the container and store salvage
+//! paths also run on.
 //! A torn tail therefore costs exactly the unacked record being
 //! written at crash time, never an acked one (acked records were
 //! fsynced first).
@@ -48,6 +49,7 @@
 //! harness can kill the daemon at every journal operation boundary
 //! and prove the no-acked-loss claim (`--serve-crash-sweep`).
 
+use isobar::salvage::{resync_walk, Walked};
 use isobar_codecs::xxhash::xxh64;
 use isobar_store::{StoreFile, StoreFs};
 use std::collections::BTreeMap;
@@ -71,7 +73,7 @@ pub const WAL_HEADER_LEN: usize = 8;
 pub const WAL_RECORD_SEED: u64 = 0x1507_BA86_0A11_ED01;
 
 /// Seed for the tenant-to-file-name hash.
-const WAL_NAME_SEED: u64 = 0x7E4A_17;
+const WAL_NAME_SEED: u64 = 0x007E_4A17;
 
 /// Journal file name prefix.
 pub const WAL_FILE_PREFIX: &str = "wal-";
@@ -210,52 +212,21 @@ fn try_record_at(bytes: &[u8], at: usize) -> Option<(WalRecord, usize)> {
 /// checksum-anchor resync past anything that does not verify. Never
 /// fails — a journal that is all garbage simply yields no records.
 pub fn parse_wal(bytes: &[u8]) -> WalSalvage {
-    let mut out = WalSalvage::default();
-    // Tolerate a missing or torn file header by starting the scan at 0;
+    // Tolerate a missing or torn file header by starting the walk at 0;
     // a well-formed file simply has no anchor inside its header.
-    let mut at = if bytes.len() >= WAL_HEADER_LEN
-        && bytes[..4] == WAL_MAGIC
-        && bytes[4] == WAL_VERSION
-    {
-        WAL_HEADER_LEN
-    } else {
-        out.skipped_bytes += bytes.len().min(WAL_HEADER_LEN) as u64;
-        0
-    };
-    while at < bytes.len() {
-        match try_record_at(bytes, at) {
-            Some((rec, next)) => {
-                out.records.push(rec);
-                at = next;
-            }
-            None => {
-                // Resync: scan forward for the next anchor that yields
-                // a verifying record.
-                let mut found = None;
-                let mut probe = at + 1;
-                while probe + 4 <= bytes.len() {
-                    if bytes[probe..probe + 4] == WAL_RECORD_MAGIC {
-                        if let Some(hit) = try_record_at(bytes, probe) {
-                            found = Some((probe, hit));
-                            break;
-                        }
-                    }
-                    probe += 1;
-                }
-                match found {
-                    Some((probe, (rec, next))) => {
-                        out.skipped_bytes += (probe - at) as u64;
-                        out.records.push(rec);
-                        at = next;
-                    }
-                    None => {
-                        out.skipped_bytes += (bytes.len() - at) as u64;
-                        break;
-                    }
-                }
-            }
-        }
-    }
+    let header_ok =
+        bytes.len() >= WAL_HEADER_LEN && bytes[..4] == WAL_MAGIC && bytes[4] == WAL_VERSION;
+    let start = if header_ok { WAL_HEADER_LEN } else { 0 };
+    let mut out = WalSalvage::default();
+    resync_walk(
+        bytes,
+        start,
+        |at| try_record_at(bytes, at),
+        |walked| match walked {
+            Walked::Item { item, .. } => out.records.push(item),
+            Walked::Gap { len, .. } => out.skipped_bytes += len as u64,
+        },
+    );
     out
 }
 
@@ -422,7 +393,7 @@ mod tests {
     #[test]
     fn record_round_trips() {
         let r = rec("acme", 7, "density", b"payload bytes");
-        let bytes = journal(&[r.clone()]);
+        let bytes = journal(std::slice::from_ref(&r));
         let salvage = parse_wal(&bytes);
         assert_eq!(salvage.records, vec![r]);
         assert_eq!(salvage.skipped_bytes, 0);
@@ -468,18 +439,49 @@ mod tests {
         assert!(salvage.skipped_bytes > 0);
     }
 
+    /// Parse `bytes` and check that every byte is accounted for exactly
+    /// once: a valid file header, a salvaged record, or skipped.
+    fn parse_tiled(bytes: &[u8]) -> WalSalvage {
+        let salvage = parse_wal(bytes);
+        let header = if bytes.len() >= WAL_HEADER_LEN
+            && bytes[..4] == WAL_MAGIC
+            && bytes[4] == WAL_VERSION
+        {
+            WAL_HEADER_LEN
+        } else {
+            0
+        };
+        let framed: usize = salvage.records.iter().map(WalRecord::encoded_len).sum();
+        assert_eq!(
+            header + framed + salvage.skipped_bytes as usize,
+            bytes.len(),
+            "{salvage:?}"
+        );
+        salvage
+    }
+
     #[test]
     fn garbage_and_truncated_headers_parse_to_nothing() {
-        assert!(parse_wal(&[]).records.is_empty());
-        assert!(parse_wal(b"IS").records.is_empty());
-        assert!(parse_wal(&[0xAA; 300]).records.is_empty());
+        assert!(parse_tiled(&[]).records.is_empty());
+        assert!(parse_tiled(b"IS").records.is_empty());
+        let garbage = parse_tiled(&[0xAA; 300]);
+        assert!(garbage.records.is_empty());
+        assert_eq!(garbage.skipped_bytes, 300);
         // A bogus giant length field must not allocate; the record is
         // skipped via resync.
         let mut bytes = file_header().to_vec();
         bytes.extend_from_slice(&WAL_RECORD_MAGIC);
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         bytes.extend_from_slice(&[0; 64]);
-        assert!(parse_wal(&bytes).records.is_empty());
+        assert!(parse_tiled(&bytes).records.is_empty());
+        // A wrong version byte costs the header, never a record twice.
+        let r = rec("t", 1, "a", &[1; 9]);
+        let mut bytes = journal(std::slice::from_ref(&r));
+        assert_eq!(bytes.len(), 48);
+        bytes[4] ^= 0xFF;
+        let salvage = parse_tiled(&bytes);
+        assert_eq!(salvage.records, vec![r]);
+        assert_eq!(salvage.skipped_bytes, WAL_HEADER_LEN as u64);
     }
 
     #[test]

@@ -11,8 +11,10 @@
 //!
 //! Both formats share one record grammar, so one walk serves both; a
 //! format only contributes its header length (5 bytes for a single
-//! file, 8 for a segment) and its file list. Each record embeds an
-//! ISOBAR container, whose `"ISBR"` magic acts as an anchor. For a
+//! file, 8 for a segment) and its file list. The walk itself is the
+//! shared [`isobar::salvage::resync_walk`]; this module supplies the
+//! anchor test. Each record embeds an ISOBAR container, whose `"ISBR"`
+//! magic acts as an anchor. For a
 //! magic at file position `m`, the record header ends exactly at `m`,
 //! so its start is `m - 15 - name_len`; the walk tries every
 //! `name_len` whose length prefix at that start agrees, then demands a
@@ -30,9 +32,11 @@ use crate::format::{
 use crate::manifest::Manifest;
 use crate::reader::StoreReader;
 use crate::sharded::{ShardedOptions, ShardedStoreWriter};
+use isobar::salvage::{resync_walk, Walked};
 use isobar::{IsobarCompressor, IsobarOptions};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::io::Read as _;
 use std::path::Path;
 
 /// Verification outcome for one store entry.
@@ -157,49 +161,59 @@ fn container_health(version: u8, entry: &IndexEntry, container: &[u8]) -> EntryH
 /// reserved for I/O failures and files that are not stores at all.
 pub fn fsck_store(path: impl AsRef<Path>) -> Result<StoreFsckReport, StoreError> {
     let path = path.as_ref();
-    if path.is_dir() {
-        return fsck_v3(path);
-    }
-    // A file without the store magic is a usage error, not damage.
-    let head = {
+    let (version, orphan_files) = if path.is_dir() {
+        (V3_VERSION, count_orphans(path)?)
+    } else {
+        // A file without the store magic is a usage error, not damage.
         let mut head = [0u8; 5];
-        use std::io::Read;
-        let mut f = std::fs::File::open(path)?;
-        let n = f.read(&mut head)?;
+        let n = std::fs::File::open(path)?.read(&mut head)?;
         if n < 5 || head[..4] != MAGIC {
             return Err(StoreError::Corrupt("not a store file (bad magic)"));
         }
-        head
+        (head[4], 0)
     };
-    let version = head[4];
-
-    let reader = match StoreReader::open(path) {
-        Ok(reader) => reader,
+    let opened = match StoreReader::open(path) {
+        Ok(reader) => Some((reader, false)),
         Err(StoreError::Io(e)) => return Err(StoreError::Io(e)),
-        // Index checksum mismatch or structural damage: retry without
-        // verification to enumerate what we still can.
-        Err(_) => match StoreReader::open_with_verify(path, false) {
-            Ok(reader) => {
-                return fsck_entries(version, true, &reader);
+        // Index or manifest checksum mismatch, or structural damage:
+        // retry without verification to enumerate what we still can.
+        Err(_) => StoreReader::open_with_verify(path, false)
+            .ok()
+            .map(|reader| (reader, true)),
+    };
+    let mut report = match opened {
+        Some((reader, index_damaged)) => {
+            let mut report = fsck_entries(version, index_damaged, &reader)?;
+            if version == V3_VERSION {
+                report.superseded_entries = reader.superseded_count();
             }
-            Err(_) => {
-                return Ok(StoreFsckReport {
-                    version,
-                    index_damaged: true,
-                    entries: Vec::new(),
-                    legacy: version == LEGACY_VERSION,
-                    orphan_files: 0,
-                    superseded_entries: 0,
-                })
-            }
+            report
+        }
+        None => StoreFsckReport {
+            version,
+            index_damaged: true,
+            entries: Vec::new(),
+            legacy: version == LEGACY_VERSION,
+            orphan_files: 0,
+            superseded_entries: 0,
         },
     };
-    fsck_entries(version, false, &reader)
+    report.orphan_files = orphan_files;
+    Ok(report)
 }
 
-/// Segment-shaped files in `dir` (counting `.wip` journals) that
-/// `referenced` does not name.
-fn count_orphans(dir: &Path, referenced: &HashSet<String>) -> Result<usize, StoreError> {
+/// Segment-shaped files in `dir` (counting `.wip` journals) that its
+/// manifest does not name. When the manifest cannot be decoded at all,
+/// every segment file is unreferenced (and recoverable only by the
+/// salvage walk).
+fn count_orphans(dir: &Path) -> Result<usize, StoreError> {
+    let referenced: HashSet<String> = match std::fs::read(dir.join(MANIFEST_FILE)) {
+        Ok(bytes) => Manifest::decode(&bytes, false)
+            .map(|m| m.segments.into_iter().map(|s| s.file_name).collect())
+            .unwrap_or_default(),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => HashSet::new(),
+        Err(e) => return Err(e.into()),
+    };
     let mut orphans = 0usize;
     for entry in std::fs::read_dir(dir)? {
         let name = entry?.file_name();
@@ -210,51 +224,6 @@ fn count_orphans(dir: &Path, referenced: &HashSet<String>) -> Result<usize, Stor
         }
     }
     Ok(orphans)
-}
-
-fn fsck_v3(dir: &Path) -> Result<StoreFsckReport, StoreError> {
-    // The manifest's segment table drives the orphan scan; if it
-    // cannot be decoded at all, every segment file is effectively
-    // unreferenced (and recoverable only by the salvage walk).
-    let referenced: HashSet<String> = match std::fs::read(dir.join(MANIFEST_FILE)) {
-        Ok(bytes) => Manifest::decode(&bytes, false)
-            .map(|m| m.segments.into_iter().map(|s| s.file_name).collect())
-            .unwrap_or_default(),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => HashSet::new(),
-        Err(e) => return Err(e.into()),
-    };
-    let orphan_files = count_orphans(dir, &referenced)?;
-
-    let finish = |index_damaged: bool, reader: Option<&StoreReader>| {
-        let mut report = match reader {
-            Some(reader) => {
-                let mut report = fsck_entries(V3_VERSION, index_damaged, reader)?;
-                report.superseded_entries = reader.superseded_count();
-                report
-            }
-            None => StoreFsckReport {
-                version: V3_VERSION,
-                index_damaged: true,
-                entries: Vec::new(),
-                legacy: false,
-                orphan_files: 0,
-                superseded_entries: 0,
-            },
-        };
-        report.orphan_files = orphan_files;
-        Ok(report)
-    };
-
-    match StoreReader::open(dir) {
-        Ok(reader) => finish(false, Some(&reader)),
-        Err(StoreError::Io(e)) => Err(StoreError::Io(e)),
-        // Manifest checksum mismatch or a segment disagreeing with it:
-        // retry structurally to enumerate what we still can.
-        Err(_) => match StoreReader::open_with_verify(dir, false) {
-            Ok(reader) => finish(true, Some(&reader)),
-            Err(_) => finish(true, None),
-        },
-    }
 }
 
 fn fsck_entries(
@@ -425,28 +394,36 @@ fn walk_records(
     let mut lost = 0usize;
     for file in &files {
         let data = std::fs::read(file)?;
-        let mut pos = head_len;
-        while pos + isobar::container::MAGIC.len() <= data.len() {
-            let Some(at) = find_magic(&data[pos..]) else {
-                break;
+        // `ISBR` cannot overlap itself, so byte-wise probing meets the
+        // same anchors a magic search would.
+        let try_at = |m: usize| {
+            if !data[m..].starts_with(&isobar::container::MAGIC) {
+                return None;
+            }
+            let record = record_at(&data, head_len, m)?;
+            let end = m + record.container_len;
+            match verifier.decompress(&data[m..end]) {
+                Ok(raw) => Some(((record, raw.len() as u64), end)),
+                Err(_) => {
+                    lost += 1;
+                    None
+                }
+            }
+        };
+        resync_walk(&data, head_len, try_at, |walked| {
+            let Walked::Item {
+                offset,
+                item: (record, raw_len),
+            } = walked
+            else {
+                return;
             };
-            let m = pos + at;
-            pos = m + isobar::container::MAGIC.len();
-            let Some(record) = record_at(&data, head_len, m) else {
-                continue;
-            };
-            let container = &data[m..m + record.container_len];
-            let Ok(raw) = verifier.decompress(container) else {
-                lost += 1;
-                continue;
-            };
-            pos = m + record.container_len;
             let version = Found {
                 step: record.step,
                 name: record.name.to_string(),
                 width: record.width,
-                container: container.to_vec(),
-                raw_len: raw.len() as u64,
+                container: data[offset..offset + record.container_len].to_vec(),
+                raw_len,
             };
             match slot.entry((record.step, version.name.clone())) {
                 Entry::Occupied(o) => found[*o.get()] = version,
@@ -455,7 +432,7 @@ fn walk_records(
                     found.push(version);
                 }
             }
-        }
+        });
     }
     let recovered = found.len();
     for f in found {
@@ -466,11 +443,6 @@ fn walk_records(
         entries_lost: lost,
         index_rebuilt: true,
     })
-}
-
-fn find_magic(data: &[u8]) -> Option<usize> {
-    data.windows(isobar::container::MAGIC.len())
-        .position(|w| w == isobar::container::MAGIC)
 }
 
 struct WalkRecord<'a> {
