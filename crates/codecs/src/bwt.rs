@@ -17,7 +17,7 @@
 use crate::bitio::{MsbBitReader, MsbBitWriter};
 use crate::codec::{Codec, CodecError, CodecId, CodecScratch, CompressionLevel};
 use crate::deflate::adler32;
-use crate::huffman::{HuffmanDecoder, HuffmanEncoder};
+use crate::huffman::{HuffmanDecoder, HuffmanEncoder, PackageMergeScratch};
 use crate::mtf::{mtf_decode, mtf_encode};
 use crate::rle::{rle1_decode, rle1_encode, zrle_decode_bounded, zrle_encode};
 use crate::suffix::suffix_array_bytes;
@@ -163,10 +163,11 @@ impl Codec for Bzip2Like {
         out
     }
 
-    fn compress_into(&self, data: &[u8], out: &mut Vec<u8>, _scratch: &mut CodecScratch) {
-        // The output buffer is reused across calls; the BWT stages still
-        // allocate internally per block (see DESIGN.md — the suffix-array
-        // and MTF temporaries dominate and are a planned follow-up).
+    fn compress_into(&self, data: &[u8], out: &mut Vec<u8>, scratch: &mut CodecScratch) {
+        // The output buffer and the Huffman table builds reuse their
+        // memory across calls; the per-block BWT and MTF buffers still
+        // allocate (see DESIGN.md — the suffix-array and MTF temporaries
+        // dominate and are a planned follow-up).
         out.clear();
         let mut w = MsbBitWriter::with_prefix(std::mem::take(out));
         let num_blocks = if data.is_empty() {
@@ -177,7 +178,7 @@ impl Codec for Bzip2Like {
         w.write_bits(num_blocks as u32, 32);
         if !data.is_empty() {
             for block in data.chunks(self.block_size()) {
-                encode_block(&mut w, block);
+                encode_block(&mut w, block, &mut scratch.bwt);
             }
         }
         w.write_bits(adler32(data), 32);
@@ -221,6 +222,8 @@ const GROUP_SIZE: usize = 50;
 const MAX_TABLES: usize = 6;
 /// Refinement passes when assigning groups to tables.
 const TABLE_PASSES: usize = 4;
+/// Per-symbol cost lanes: [`MAX_TABLES`] rounded up to a SIMD width.
+const COST_LANES: usize = 8;
 
 /// bzip2's table-count schedule by symbol count.
 fn num_tables_for(n_syms: usize) -> usize {
@@ -233,42 +236,83 @@ fn num_tables_for(n_syms: usize) -> usize {
     }
 }
 
+/// Working memory for [`build_tables`], reused across blocks and calls
+/// so table construction stays off the allocator once warm.
+#[derive(Default)]
+pub(crate) struct TableScratch {
+    pm: PackageMergeScratch,
+    /// One encoder per table slot; `build_tables` fills the first
+    /// `n_tables`.
+    encoders: Vec<HuffmanEncoder>,
+    /// The table each 50-symbol group is coded with.
+    selectors: Vec<u8>,
+}
+
 /// Assign each 50-symbol group to one of `n_tables` Huffman tables and
 /// build the tables, bzip2-style: start from a round-robin assignment,
 /// then alternate "rebuild tables from their groups" and "reassign each
-/// group to its cheapest table" for a few passes.
-fn build_tables(symbols: &[u16], n_tables: usize) -> (Vec<HuffmanEncoder>, Vec<u8>) {
-    let groups: Vec<&[u16]> = symbols.chunks(GROUP_SIZE).collect();
-    let mut selectors: Vec<u8> = (0..groups.len()).map(|g| (g % n_tables) as u8).collect();
-    let mut encoders: Vec<HuffmanEncoder> = Vec::new();
-    for _ in 0..TABLE_PASSES {
+/// group to its cheapest table" for a few passes. The encoders land in
+/// `t.encoders[..n_tables]`, the assignment in `t.selectors`.
+///
+/// A table is rebuilt only when its frequencies changed, and once no
+/// table changed the passes stop: every later reassignment would be
+/// identical, so the output equals running all passes.
+fn build_tables(symbols: &[u16], n_tables: usize, t: &mut TableScratch) {
+    t.selectors.clear();
+    t.selectors
+        .extend((0..symbols.len().div_ceil(GROUP_SIZE)).map(|g| (g % n_tables) as u8));
+    if t.encoders.len() < MAX_TABLES {
+        t.encoders.resize_with(MAX_TABLES, HuffmanEncoder::default);
+    }
+    let mut built = [[0u64; ENTROPY_ALPHA]; MAX_TABLES];
+    // Code lengths per symbol, one lane per table, so a group's cost
+    // under every table sums in one pass (≤ 50 × 20 bits fits a u16).
+    let mut lens = [[0u16; COST_LANES]; ENTROPY_ALPHA];
+    for pass in 0..TABLE_PASSES {
         // Rebuild each table from its assigned groups. The +1 floor
         // guarantees every symbol has a code in every table, so any
         // later reassignment stays encodable.
-        let mut freqs = vec![[1u64; ENTROPY_ALPHA]; n_tables];
-        for (group, &sel) in groups.iter().zip(&selectors) {
-            for &sym in *group {
+        let mut freqs = [[1u64; ENTROPY_ALPHA]; MAX_TABLES];
+        for (group, &sel) in symbols.chunks(GROUP_SIZE).zip(&t.selectors) {
+            for &sym in group {
                 freqs[sel as usize][sym as usize] += 1;
             }
         }
-        encoders = freqs
-            .iter()
-            .map(|f| HuffmanEncoder::from_freqs(f, MAX_CODE_LEN))
-            .collect();
+        let mut changed = false;
+        for table in 0..n_tables {
+            if pass > 0 && freqs[table] == built[table] {
+                continue;
+            }
+            changed = true;
+            built[table] = freqs[table];
+            let enc = &mut t.encoders[table];
+            enc.rebuild_from_freqs(&freqs[table], MAX_CODE_LEN, &mut t.pm);
+            for (sym, lanes) in lens.iter_mut().enumerate() {
+                lanes[table] = u16::from(enc.len(sym));
+            }
+        }
+        if !changed {
+            break;
+        }
 
-        // Reassign each group to the cheapest table.
-        for (group, sel) in groups.iter().zip(&mut selectors) {
-            let mut best = (u64::MAX, *sel);
-            for (t, enc) in encoders.iter().enumerate() {
-                let cost: u64 = group.iter().map(|&s| enc.len(s as usize) as u64).sum();
-                if cost < best.0 {
-                    best = (cost, t as u8);
+        // Reassign each group to the cheapest table, the lowest index
+        // on ties.
+        for (group, sel) in symbols.chunks(GROUP_SIZE).zip(&mut t.selectors) {
+            let mut cost = [0u16; COST_LANES];
+            for &sym in group {
+                for (c, &l) in cost.iter_mut().zip(&lens[sym as usize]) {
+                    *c += l;
                 }
             }
-            *sel = best.1;
+            let mut best = 0;
+            for table in 1..n_tables {
+                if cost[table] < cost[best] {
+                    best = table;
+                }
+            }
+            *sel = best as u8;
         }
     }
-    (encoders, selectors)
 }
 
 /// Serialize one table's code lengths with bzip2's delta scheme: a
@@ -321,25 +365,26 @@ fn read_delta_lengths(r: &mut MsbBitReader<'_>) -> Result<[u8; ENTROPY_ALPHA], C
     Ok(lengths)
 }
 
-fn encode_block(w: &mut MsbBitWriter, block: &[u8]) {
+fn encode_block(w: &mut MsbBitWriter, block: &[u8], t: &mut TableScratch) {
     let rle1 = rle1_encode(block);
     let bwt = bwt_forward(&rle1);
-    let ranks = mtf_encode(&bwt, BWT_ALPHA);
+    let ranks = mtf_encode(&bwt);
     let symbols = zrle_encode(&ranks);
 
     let n_tables = num_tables_for(symbols.len());
-    let (encoders, selectors) = build_tables(&symbols, n_tables);
+    build_tables(&symbols, n_tables, t);
+    let (encoders, selectors) = (&t.encoders[..n_tables], &t.selectors);
 
     w.write_bits(rle1.len() as u32, 32);
     w.write_bits(symbols.len() as u32, 32);
     w.write_bits(n_tables as u32, 3);
-    for enc in &encoders {
+    for enc in encoders {
         write_delta_lengths(w, enc);
     }
     // Selectors, move-to-front then unary coded (bzip2's scheme): the
     // MTF rank r is written as r one-bits and a terminating zero.
     let mut mtf_order: Vec<u8> = (0..n_tables as u8).collect();
-    for &sel in &selectors {
+    for &sel in selectors {
         let rank = mtf_order.iter().position(|&t| t == sel).expect("table");
         for _ in 0..rank {
             w.write_bits(1, 1);
@@ -348,7 +393,7 @@ fn encode_block(w: &mut MsbBitWriter, block: &[u8]) {
         mtf_order.copy_within(0..rank, 1);
         mtf_order[0] = sel;
     }
-    for (group, &sel) in symbols.chunks(GROUP_SIZE).zip(&selectors) {
+    for (group, &sel) in symbols.chunks(GROUP_SIZE).zip(selectors) {
         let enc = &encoders[sel as usize];
         for &sym in group {
             enc.write_msb(w, sym as usize);
@@ -424,7 +469,7 @@ fn decode_block(r: &mut MsbBitReader<'_>, out: &mut Vec<u8>) -> Result<(), Codec
     if ranks.iter().any(|&rk| rk as usize >= BWT_ALPHA) {
         return Err(CodecError::Corrupt("MTF rank outside alphabet"));
     }
-    let bwt = mtf_decode(&ranks, BWT_ALPHA);
+    let bwt = mtf_decode(&ranks);
     let rle1 = bwt_inverse(&bwt)?;
     out.extend_from_slice(&rle1_decode(&rle1));
     Ok(())
@@ -588,13 +633,14 @@ mod tests {
             let base = if block % 2 == 0 { 2u16 } else { 120 };
             symbols.extend((0..50).map(|i| base + (i % 8) as u16));
         }
-        let (encoders, selectors) = build_tables(&symbols, 3);
-        assert_eq!(encoders.len(), 3);
+        let mut t = TableScratch::default();
+        build_tables(&symbols, 3, &mut t);
+        let (encoders, selectors) = (&t.encoders[..3], &t.selectors);
         assert_eq!(selectors.len(), 40);
         assert!(selectors.iter().all(|&s| s < 3));
         // Every symbol must be encodable under every table (the +1
         // frequency floor guarantees it).
-        for enc in &encoders {
+        for enc in encoders {
             for sym in 0..ENTROPY_ALPHA {
                 assert!(enc.len(sym) > 0, "symbol {sym} lacks a code");
             }
@@ -619,19 +665,20 @@ mod tests {
         // Single-table reference: force n_tables = 1 via a direct call.
         let rle1 = rle1_encode(&data);
         let bwt = bwt_forward(&rle1);
-        let ranks = mtf_encode(&bwt, BWT_ALPHA);
+        let ranks = mtf_encode(&bwt);
         let symbols = zrle_encode(&ranks);
-        let (encoders, _) = build_tables(&symbols, 1);
+        let mut t = TableScratch::default();
+        build_tables(&symbols, 1, &mut t);
         let single_payload_bits: u64 = symbols
             .iter()
-            .map(|&s| encoders[0].len(s as usize) as u64)
+            .map(|&s| t.encoders[0].len(s as usize) as u64)
             .sum();
-        let (encoders, selectors) = build_tables(&symbols, num_tables_for(symbols.len()));
+        build_tables(&symbols, num_tables_for(symbols.len()), &mut t);
         let multi_payload_bits: u64 = symbols
             .chunks(GROUP_SIZE)
-            .zip(&selectors)
+            .zip(&t.selectors)
             .flat_map(|(g, &sel)| g.iter().map(move |&s| (sel, s)))
-            .map(|(sel, s)| encoders[sel as usize].len(s as usize) as u64)
+            .map(|(sel, s)| t.encoders[sel as usize].len(s as usize) as u64)
             .sum();
         assert!(
             multi_payload_bits < single_payload_bits,

@@ -14,26 +14,29 @@ use crate::codec::CodecError;
 /// Maximum supported code length (fits the `u32` code registers).
 pub const MAX_SUPPORTED_LEN: u8 = 24;
 
-/// Package-merge arena node: a leaf symbol or a merged pair.
-enum Node {
-    Leaf(u16),
-    Pair(u32, u32),
-}
-
 /// Reusable working memory for [`package_merge_into`].
 ///
-/// The lists package-merge builds are bounded by the alphabet size times
-/// the length limit, so after one warm-up run the buffers never grow
-/// again and repeated code constructions stay off the allocator.
+/// Every list package-merge builds is cut at 2·(n−1) items, so the
+/// buffers are bounded by the alphabet size times the length limit;
+/// after one warm-up run they never grow again and repeated code
+/// constructions stay off the allocator.
 #[derive(Default)]
 pub struct PackageMergeScratch {
+    /// Nonzero-weight symbols as `(weight, symbol)`, sorted.
     leaves: Vec<(u64, u16)>,
-    arena: Vec<Node>,
-    singletons: Vec<(u64, u32)>,
-    current: Vec<(u64, u32)>,
-    next: Vec<(u64, u32)>,
-    merged: Vec<(u64, u32)>,
-    stack: Vec<u32>,
+    /// The same leaves' weights, then two `u64::MAX` sentinels.
+    weights: Vec<u64>,
+    /// The current level's merged list, weights only, and the next.
+    current: Vec<u64>,
+    next: Vec<u64>,
+    /// The current level's pairs, summed (the next level's packages),
+    /// then two `u64::MAX` sentinels.
+    packages: Vec<u64>,
+    /// Where the last merge placed each package.
+    package_at: Vec<usize>,
+    /// Per level, per list position: 1 where the merge took a leaf, 0
+    /// where it took a package.
+    is_leaf: Vec<u8>,
 }
 
 impl PackageMergeScratch {
@@ -77,19 +80,29 @@ pub fn package_merge_into(
 ) {
     assert!((1..=MAX_SUPPORTED_LEN).contains(&max_len));
     assert_eq!(lengths.len(), freqs.len(), "one length slot per symbol");
+    let PackageMergeScratch {
+        leaves,
+        weights,
+        current,
+        next,
+        packages,
+        package_at,
+        is_leaf,
+    } = s;
     lengths.fill(0);
-    s.leaves.clear();
-    s.leaves.extend(
+    leaves.clear();
+    leaves.extend(
         freqs
             .iter()
             .enumerate()
             .filter(|&(_, &f)| f > 0)
             .map(|(sym, &f)| (f, sym as u16)),
     );
-    match s.leaves.len() {
+    let n = leaves.len();
+    match n {
         0 => return,
         1 => {
-            lengths[s.leaves[0].1 as usize] = 1;
+            lengths[leaves[0].1 as usize] = 1;
             return;
         }
         n => assert!(
@@ -97,77 +110,104 @@ pub fn package_merge_into(
             "{n} symbols cannot fit in {max_len}-bit codes"
         ),
     }
-    s.leaves.sort_unstable();
+    leaves.sort_unstable();
 
-    // Package-merge with packages stored in an arena as binary trees;
-    // `level` runs from the deepest tree level up. After `max_len`
-    // rounds, the cheapest 2·(n−1) packages tell us how often each
-    // leaf is "used", which is exactly its code length. Arena nodes
-    // make the merge O(n·L) instead of cloning symbol lists.
-    s.arena.clear();
-    s.singletons.clear();
-    // Singleton packages, sorted by weight: (weight, arena index).
-    for &(w, sym) in &s.leaves {
-        s.arena.push(Node::Leaf(sym));
-        s.singletons.push((w, s.arena.len() as u32 - 1));
+    // Level 0 is the leaves alone; level k merges the pairs of level
+    // k−1 (packages) with the leaves, packages first on ties. Only the
+    // cheapest 2·(n−1) items of the top level are selected, and a
+    // selected prefix never needs more than 2·(n−1) items of the level
+    // below, so every list is cut there. Weights are all the merge
+    // needs; the per-position leaf flag records its order.
+    let cap = 2 * (n - 1);
+    let levels = max_len as usize;
+    if is_leaf.len() < levels * cap {
+        is_leaf.resize(levels * cap, 0);
     }
-
-    s.current.clear();
-    s.current.extend_from_slice(&s.singletons);
-    for _ in 1..max_len {
-        s.next.clear();
-        for pair in s.current.chunks_exact(2) {
-            s.arena.push(Node::Pair(pair[0].1, pair[1].1));
-            s.next
-                .push((pair[0].0 + pair[1].0, s.arena.len() as u32 - 1));
+    package_at.resize(cap, 0);
+    weights.clear();
+    weights.extend(leaves.iter().map(|&(w, _)| w));
+    weights.extend([u64::MAX; 2]);
+    current.clear();
+    current.extend_from_slice(&weights[..n.min(cap)]);
+    is_leaf[..current.len()].fill(1);
+    packages.clear();
+    // Each level is a function of the one below. Where the current
+    // level repeats the one below it for `same` items, the first
+    // `same / 2` packages repeat too, so the next merge repeats this
+    // one until it has taken them; only the rest is merged afresh.
+    // Once a whole level repeats, every higher level repeats it.
+    let (mut same, mut taken, mut top) = (0, 0, 0);
+    for level in 1..levels {
+        let kept = same / 2;
+        packages.truncate(kept);
+        packages.extend(
+            current[2 * kept..]
+                .chunks_exact(2)
+                .map(|pair| pair[0] + pair[1]),
+        );
+        let len = cap.min(packages.len() + n);
+        packages.extend([u64::MAX; 2]);
+        let start = match kept {
+            0 => 0,
+            k if k <= taken => package_at[k - 1] + 1,
+            _ => current.len(),
+        };
+        let (below, flags) = is_leaf[(level - 1) * cap..(level + 1) * cap].split_at_mut(cap);
+        flags[..start].copy_from_slice(&below[..start]);
+        next.clear();
+        next.extend_from_slice(&current[..start]);
+        next.resize(len, 0);
+        // Branch-free merge: each side's next candidate is loaded
+        // before the comparison decides which side advances (the
+        // sentinels keep those loads in bounds).
+        let (mut p, mut l) = (kept, start - kept);
+        let (mut package, mut leaf) = (packages[p], weights[l]);
+        for (at, (item, flag)) in next.iter_mut().zip(flags).enumerate().skip(start) {
+            let take_leaf = leaf < package;
+            *item = if take_leaf { leaf } else { package };
+            *flag = take_leaf as u8;
+            package_at[p] = at;
+            let (next_package, next_leaf) = (packages[p + 1], weights[l + 1]);
+            p += !take_leaf as usize;
+            l += take_leaf as usize;
+            package = if take_leaf { package } else { next_package };
+            leaf = if take_leaf { next_leaf } else { leaf };
         }
-        // Both `next` (so far) and `singletons` are weight-sorted:
-        // merge instead of re-sorting.
-        let packaged = s.next.len();
-        s.next.extend_from_slice(&s.singletons);
-        merge_sorted_halves(&mut s.next, packaged, &mut s.merged);
-        std::mem::swap(&mut s.current, &mut s.next);
+        taken = p;
+        same = start
+            + next[start..]
+                .iter()
+                .zip(&current[start..])
+                .take_while(|(a, b)| a == b)
+                .count();
+        let repeated = same == len && len == current.len();
+        std::mem::swap(current, next);
+        top = level;
+        if repeated {
+            break;
+        }
     }
 
-    // Count leaf occurrences in the cheapest 2(n−1) packages with an
-    // explicit stack (package trees can be max_len deep).
-    s.stack.clear();
-    s.stack.extend(
-        s.current
+    // Walk down from the top: a level's selected prefix is some leaves
+    // plus its first p packages, whose children are the first 2p items
+    // one level down. The leaves a level selects are a prefix of the
+    // sorted leaves, shrinking with depth, and a leaf's code length is
+    // the number of levels that select it.
+    let mut selected = [0usize; MAX_SUPPORTED_LEN as usize + 1];
+    let mut take = cap;
+    for (depth, selected) in selected[..levels].iter_mut().enumerate() {
+        let at = (levels - 1 - depth).min(top) * cap;
+        *selected = is_leaf[at..at + take]
             .iter()
-            .take(2 * (s.leaves.len() - 1))
-            .map(|&(_, idx)| idx),
-    );
-    while let Some(idx) = s.stack.pop() {
-        match s.arena[idx as usize] {
-            Node::Leaf(sym) => lengths[sym as usize] += 1,
-            Node::Pair(a, b) => {
-                s.stack.push(a);
-                s.stack.push(b);
-            }
+            .map(|&f| f as usize)
+            .sum::<usize>();
+        take = 2 * (take - *selected);
+    }
+    for depth in 0..levels {
+        for &(_, sym) in &leaves[selected[depth + 1]..selected[depth]] {
+            lengths[sym as usize] = depth as u8 + 1;
         }
     }
-}
-
-/// Merge a slice whose `[..mid]` and `[mid..]` halves are each sorted
-/// by weight into a single sorted order (stable; ties keep the
-/// packaged-before-singleton order the algorithm expects). `merged` is
-/// a reusable spill buffer; on return it holds the pre-merge contents.
-fn merge_sorted_halves(items: &mut Vec<(u64, u32)>, mid: usize, merged: &mut Vec<(u64, u32)>) {
-    merged.clear();
-    let (mut i, mut j) = (0usize, mid);
-    while i < mid && j < items.len() {
-        if items[i].0 <= items[j].0 {
-            merged.push(items[i]);
-            i += 1;
-        } else {
-            merged.push(items[j]);
-            j += 1;
-        }
-    }
-    merged.extend_from_slice(&items[i..mid]);
-    merged.extend_from_slice(&items[j..]);
-    std::mem::swap(items, merged);
 }
 
 /// Assign canonical code values to `lengths` (RFC 1951 §3.2.2 rules:

@@ -1,40 +1,125 @@
-//! Move-to-front transform over a generic small alphabet.
+//! Move-to-front transform over the 257-symbol BWT alphabet.
 //!
 //! After the BWT, symbol runs cluster locally; MTF converts that local
 //! clustering into a global skew towards small ranks (mostly zeros),
 //! which the zero-run encoder and Huffman stage then exploit — the same
 //! chain bzip2 uses.
+//!
+//! The alphabet is the BWT's: the sentinel 0 plus the bytes shifted
+//! into 1..=256. The MTF list is kept as a 256-byte table of the byte
+//! symbols in list order plus the sentinel's rank among them, so both
+//! the lookup and the move work on 8 bytes at a time.
 
-/// Move-to-front encode `input` over the alphabet `0..alphabet_size`.
+/// Symbols in the BWT alphabet: the sentinel plus 256 byte values.
+pub const ALPHABET: usize = 257;
+
+/// The MTF list: 256 byte symbols in list order, packed little-endian
+/// eight to a word, with the sentinel spliced in at rank `sentinel`.
+struct MtfList {
+    words: [u64; 32],
+    sentinel: usize,
+}
+
+impl MtfList {
+    /// The identity list: sentinel first, then bytes 0..=255.
+    fn new() -> Self {
+        MtfList {
+            words: std::array::from_fn(|k| {
+                u64::from_le_bytes(std::array::from_fn(|j| (8 * k + j) as u8))
+            }),
+            sentinel: 0,
+        }
+    }
+
+    /// The byte at table index `i`.
+    #[inline]
+    fn byte(&self, i: usize) -> u8 {
+        (self.words[i / 8] >> (8 * (i % 8))) as u8
+    }
+
+    /// Table index of `b`, 8 bytes per probe.
+    #[inline]
+    fn find(&self, b: u8) -> usize {
+        let splat = u64::from(b) * 0x0101_0101_0101_0101;
+        for (k, &w) in self.words.iter().enumerate() {
+            let x = w ^ splat;
+            let zero = x.wrapping_sub(0x0101_0101_0101_0101) & !x & 0x8080_8080_8080_8080;
+            if zero != 0 {
+                return 8 * k + zero.trailing_zeros() as usize / 8;
+            }
+        }
+        unreachable!("the table holds every byte value")
+    }
+
+    /// Move the byte at table index `i` (list rank `rank`) to the front:
+    /// the bytes before it shift up one place, a word at a time.
+    #[inline]
+    fn move_byte(&mut self, i: usize, rank: usize) {
+        let (k, j) = (i / 8, i % 8);
+        let mut carry = u64::from(self.byte(i));
+        for w in &mut self.words[..k] {
+            let old = *w;
+            *w = old << 8 | carry;
+            carry = old >> 56;
+        }
+        // Bytes 0..=j of word k take the shift; the rest stay.
+        let low = u64::MAX >> (56 - 8 * j);
+        let w = self.words[k];
+        self.words[k] = (w & !low) | ((w << 8 | carry) & low);
+        if self.sentinel < rank {
+            self.sentinel += 1;
+        }
+    }
+}
+
+/// Move-to-front encode `input`, symbols in `0..ALPHABET`.
 ///
 /// Each output value is the current rank of the input symbol; the symbol
 /// is then moved to rank 0.
-pub fn mtf_encode(input: &[u16], alphabet_size: usize) -> Vec<u16> {
-    debug_assert!(alphabet_size <= u16::MAX as usize + 1);
-    let mut table: Vec<u16> = (0..alphabet_size as u16).collect();
+pub fn mtf_encode(input: &[u16]) -> Vec<u16> {
+    let mut list = MtfList::new();
     let mut out = Vec::with_capacity(input.len());
     for &sym in input {
-        let rank = table
-            .iter()
-            .position(|&t| t == sym)
-            .expect("symbol outside alphabet");
+        let front = if list.sentinel == 0 {
+            0
+        } else {
+            u16::from(list.byte(0)) + 1
+        };
+        if sym == front {
+            out.push(0);
+            continue;
+        }
+        let rank = if sym == 0 {
+            let rank = list.sentinel;
+            list.sentinel = 0;
+            rank
+        } else {
+            let b = u8::try_from(sym - 1).expect("symbol outside alphabet");
+            let i = list.find(b);
+            let rank = i + usize::from(list.sentinel <= i);
+            list.move_byte(i, rank);
+            rank
+        };
         out.push(rank as u16);
-        // Rotate the prefix: move `sym` to the front.
-        table.copy_within(0..rank, 1);
-        table[0] = sym;
     }
     out
 }
 
-/// Inverse of [`mtf_encode`].
-pub fn mtf_decode(ranks: &[u16], alphabet_size: usize) -> Vec<u16> {
-    let mut table: Vec<u16> = (0..alphabet_size as u16).collect();
+/// Inverse of [`mtf_encode`]. Every rank must be below [`ALPHABET`].
+pub fn mtf_decode(ranks: &[u16]) -> Vec<u16> {
+    let mut list = MtfList::new();
     let mut out = Vec::with_capacity(ranks.len());
     for &rank in ranks {
-        let sym = table[rank as usize];
-        out.push(sym);
-        table.copy_within(0..rank as usize, 1);
-        table[0] = sym;
+        let rank = usize::from(rank);
+        assert!(rank < ALPHABET, "rank outside alphabet");
+        if rank == list.sentinel {
+            list.sentinel = 0;
+            out.push(0);
+            continue;
+        }
+        let i = rank - usize::from(list.sentinel < rank);
+        out.push(u16::from(list.byte(i)) + 1);
+        list.move_byte(i, rank);
     }
     out
 }
@@ -45,48 +130,47 @@ mod tests {
 
     #[test]
     fn known_small_example() {
-        // Alphabet {0,1,2,3}; classic MTF walk-through.
-        let input = [1u16, 1, 1, 3, 3, 0];
-        let ranks = mtf_encode(&input, 4);
-        assert_eq!(ranks, vec![1, 0, 0, 3, 0, 2]);
-        assert_eq!(mtf_decode(&ranks, 4), input);
+        // The identity list puts the sentinel first and symbol s at
+        // rank s; the classic walk-through over the first few symbols.
+        let input = [2u16, 2, 2, 4, 4, 1, 0, 0, 2];
+        let ranks = mtf_encode(&input);
+        assert_eq!(ranks, vec![2, 0, 0, 4, 0, 3, 3, 0, 3]);
+        assert_eq!(mtf_decode(&ranks), input);
     }
 
     #[test]
     fn runs_become_zeros() {
         let input = vec![7u16; 100];
-        let ranks = mtf_encode(&input, 16);
+        let ranks = mtf_encode(&input);
         assert_eq!(ranks[0], 7);
         assert!(ranks[1..].iter().all(|&r| r == 0));
     }
 
     #[test]
-    fn round_trips_full_byte_alphabet() {
-        let input: Vec<u16> = (0..2000u32).map(|i| ((i * 31) % 256) as u16).collect();
-        let ranks = mtf_encode(&input, 256);
-        assert_eq!(mtf_decode(&ranks, 256), input);
-    }
-
-    #[test]
     fn round_trips_bwt_sized_alphabet() {
-        // The BWT stage uses a 257-symbol alphabet (bytes + sentinel).
         let input: Vec<u16> = (0..1000u32).map(|i| ((i * 97) % 257) as u16).collect();
-        let ranks = mtf_encode(&input, 257);
+        let ranks = mtf_encode(&input);
         assert!(ranks.iter().all(|&r| r < 257));
-        assert_eq!(mtf_decode(&ranks, 257), input);
+        assert_eq!(mtf_decode(&ranks), input);
     }
 
     #[test]
     fn empty_input() {
-        assert!(mtf_encode(&[], 256).is_empty());
-        assert!(mtf_decode(&[], 256).is_empty());
+        assert!(mtf_encode(&[]).is_empty());
+        assert!(mtf_decode(&[]).is_empty());
     }
 
     #[test]
     fn first_symbol_rank_equals_its_value() {
-        // With the identity initial table, the first rank is the symbol.
-        for sym in [0u16, 1, 100, 255] {
-            assert_eq!(mtf_encode(&[sym], 256)[0], sym);
+        // With the identity initial list, the first rank is the symbol.
+        for sym in [0u16, 1, 100, 255, 256] {
+            assert_eq!(mtf_encode(&[sym])[0], sym);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "symbol outside alphabet")]
+    fn encode_rejects_symbols_past_the_alphabet() {
+        mtf_encode(&[257]);
     }
 }
