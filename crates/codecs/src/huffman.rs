@@ -5,8 +5,10 @@
 //! codec to 20. Lengths are computed with the package-merge algorithm,
 //! which is optimal under a length limit — unlike the heuristic
 //! "build-then-flatten" approach, it never produces a suboptimal Kraft
-//! packing. Alphabets here are small (≤ 290 symbols), so the simple
-//! list-based package-merge is more than fast enough.
+//! packing. The bzip2 codec builds up to 24 tables per block, so the
+//! list-based package-merge here tracks weights only, cuts every list
+//! at 2·(n−1) items, and re-merges only what changed from one level to
+//! the next.
 
 use crate::bitio::{LsbBitReader, LsbBitWriter, MsbBitReader, MsbBitWriter};
 use crate::codec::CodecError;

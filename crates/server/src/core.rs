@@ -2,14 +2,30 @@
 //! and generic over [`StoreFs`].
 //!
 //! [`StoreCore`] owns everything a serve run mutates between commits:
-//! the lazily created [`ShardedStoreWriter`], the committed
-//! [`StoreReader`], the read-your-writes overlay, and the write-ahead
-//! journal ([`WalSet`]) behind the durability contract. The daemon
-//! wraps these methods in its mutex, phase clocks, and counters; the
-//! crash-injection harness drives the *same* methods directly over a
-//! fault-injecting filesystem, so the sweep exercises byte-for-byte
-//! the fs-op sequence a real daemon performs — without a TCP stack in
-//! the reproduction loop.
+//! the lazily created [`ShardedStoreWriter`], the write-ahead journal
+//! ([`WalSet`]) behind the durability contract, and the [`StoreView`]
+//! that reads see — the committed [`StoreReader`] and the
+//! read-your-writes overlay. The daemon wraps these methods in its
+//! store mutex, phase clocks, and counters; the crash-injection
+//! harness drives the *same* methods directly over a fault-injecting
+//! filesystem, so the sweep exercises byte-for-byte the fs-op sequence
+//! a real daemon performs — without a TCP stack in the reproduction
+//! loop.
+//!
+//! # The view
+//!
+//! The view sits behind its own `RwLock`, shared with the daemon, so
+//! gets, stats and ls never wait on the store mutex a put holds through
+//! its journal fsync. Readers hold the read lock only long enough to
+//! clone an `Arc` — an overlay entry's bytes or the committed reader —
+//! and decode after releasing it. Writers (the overlay insert and the
+//! commit swap) take the write lock while holding the store mutex:
+//! lock order is store mutex, then view, never the reverse. A commit
+//! opens the new reader first, then swaps it in and clears the overlay
+//! under one write lock, so a reader sees either the old reader with
+//! the full overlay or the new reader with an empty one, never a
+//! missing acked key. A reader a get already holds stays valid:
+//! segments are immutable and stay open.
 //!
 //! # Durable put sequence
 //!
@@ -34,6 +50,7 @@ use isobar_store::{
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Store-side tuning for [`StoreCore`], the subset of `ServeOptions`
 /// the engine needs.
@@ -72,11 +89,71 @@ impl Default for CoreOptions {
 }
 
 /// One uncommitted put held for read-your-writes.
+#[derive(Clone)]
 pub struct OverlayEntry {
     /// Element width in bytes.
     pub width: u8,
-    /// Raw payload.
-    pub data: Vec<u8>,
+    /// Raw payload, shared with the gets that answer from it.
+    pub data: Arc<[u8]>,
+}
+
+/// What reads see: the committed reader and the overlay, replaced
+/// together at commit (see the module docs for the locking rules).
+#[derive(Default)]
+pub struct StoreView {
+    /// Committed view; `None` before the first commit of a fresh store
+    /// or when `open_reader` is off.
+    pub reader: Option<Arc<StoreReader>>,
+    /// Read-your-writes cache of uncommitted puts, keyed by
+    /// `(step, store key)`.
+    pub overlay: BTreeMap<(u32, String), OverlayEntry>,
+    /// Bytes held in the overlay.
+    pub overlay_bytes: u64,
+}
+
+/// Where one lookup's answer lives, taken from a single view snapshot.
+pub enum Found {
+    /// An uncommitted put.
+    Overlay(OverlayEntry),
+    /// Not in the overlay: look it up in this committed reader.
+    Committed(Arc<StoreReader>),
+}
+
+impl StoreView {
+    /// Find `(step, key)`: the overlay first, then the committed reader
+    /// to decode from once the lock is released. `None` means neither
+    /// exists.
+    pub fn find(&self, step: u32, key: &str) -> Option<Found> {
+        match self.overlay.get(&(step, key.to_string())) {
+            Some(entry) => Some(Found::Overlay(entry.clone())),
+            None => self.reader.clone().map(Found::Committed),
+        }
+    }
+
+    /// Insert one put, superseding any earlier payload for the same
+    /// `(step, key)`.
+    pub fn insert(&mut self, step: u32, key: String, width: u8, data: Arc<[u8]>) {
+        let len = data.len() as u64;
+        if let Some(old) = self
+            .overlay
+            .insert((step, key), OverlayEntry { width, data })
+        {
+            self.overlay_bytes = self.overlay_bytes.saturating_sub(old.data.len() as u64);
+        }
+        self.overlay_bytes += len;
+    }
+}
+
+/// Read-lock a shared view, ignoring poison: the view is replaced
+/// whole under the write lock, so a panicking holder cannot leave it
+/// half-updated.
+pub fn read_view(view: &RwLock<StoreView>) -> RwLockReadGuard<'_, StoreView> {
+    view.read().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Write-lock a shared view (see [`read_view`]).
+pub fn write_view(view: &RwLock<StoreView>) -> RwLockWriteGuard<'_, StoreView> {
+    view.write().unwrap_or_else(|e| e.into_inner())
 }
 
 /// What journal replay found on open.
@@ -109,7 +186,7 @@ pub enum GetSource {
     Committed,
 }
 
-/// The serve store engine: writer + reader + overlay + journal.
+/// The serve store engine: writer + journal + the view reads see.
 pub struct StoreCore<F: StoreFs + Clone>
 where
     F::File: 'static,
@@ -118,14 +195,8 @@ where
     dir: PathBuf,
     opts: CoreOptions,
     writer: Option<ShardedStoreWriter<F>>,
-    /// Committed view; `None` before the first commit of a fresh store
-    /// or when `open_reader` is off.
-    pub reader: Option<StoreReader>,
-    /// Read-your-writes cache of uncommitted puts, keyed by
-    /// `(step, store key)`.
-    pub overlay: BTreeMap<(u32, String), OverlayEntry>,
-    /// Bytes held in the overlay.
-    pub pending_bytes: u64,
+    /// The committed reader and the overlay, shared with readers.
+    view: Arc<RwLock<StoreView>>,
     /// Generation of the last commit this engine performed.
     pub last_generation: Option<u64>,
     wal: Option<WalSet<F>>,
@@ -148,7 +219,7 @@ where
         let dir = dir.as_ref().to_path_buf();
         fs.create_dir_all(&dir)?;
         let reader = if opts.open_reader && dir.join(MANIFEST_FILE).exists() {
-            Some(StoreReader::open(&dir)?)
+            Some(Arc::new(StoreReader::open(&dir)?))
         } else {
             None
         };
@@ -157,9 +228,10 @@ where
             dir: dir.clone(),
             opts,
             writer: None,
-            reader,
-            overlay: BTreeMap::new(),
-            pending_bytes: 0,
+            view: Arc::new(RwLock::new(StoreView {
+                reader,
+                ..StoreView::default()
+            })),
             last_generation: None,
             wal: None,
             unfed: Vec::new(),
@@ -242,35 +314,49 @@ where
         )?;
         // Replayed journal records exist only in the overlay until a
         // writer carries them into a generation.
+        let view = read_view(&self.view);
         for (step, key) in std::mem::take(&mut self.unfed) {
-            if let Some(entry) = self.overlay.get(&(step, key.clone())) {
-                writer.put(step, &key, entry.data.clone(), usize::from(entry.width))?;
+            if let Some(entry) = view.overlay.get(&(step, key.clone())) {
+                writer.put(step, &key, entry.data.to_vec(), usize::from(entry.width))?;
             }
         }
+        drop(view);
         self.writer = Some(writer);
         Ok(())
     }
 
     /// Insert one put into the read-your-writes overlay, superseding
-    /// any earlier payload for the same `(step, key)`.
-    pub fn overlay_insert(&mut self, step: u32, key: String, width: u8, data: Vec<u8>) {
-        let len = data.len() as u64;
-        if let Some(old) = self
-            .overlay
-            .insert((step, key), OverlayEntry { width, data })
-        {
-            self.pending_bytes = self.pending_bytes.saturating_sub(old.data.len() as u64);
-        }
-        self.pending_bytes += len;
+    /// any earlier payload for the same `(step, key)`. Takes the view's
+    /// write lock briefly.
+    pub fn overlay_insert(
+        &mut self,
+        step: u32,
+        key: String,
+        width: u8,
+        data: impl Into<Arc<[u8]>>,
+    ) {
+        write_view(&self.view).insert(step, key, width, data.into());
+    }
+
+    /// The view reads see, for sharing with readers that must not take
+    /// the caller's store lock.
+    pub fn view(&self) -> Arc<RwLock<StoreView>> {
+        Arc::clone(&self.view)
+    }
+
+    /// Bytes held in the overlay.
+    pub fn pending_bytes(&self) -> u64 {
+        read_view(&self.view).overlay_bytes
     }
 
     /// Whether the overlay has crossed the commit threshold.
     pub fn over_threshold(&self) -> bool {
-        self.pending_bytes >= self.opts.commit_threshold
+        self.pending_bytes() >= self.opts.commit_threshold
     }
 
     /// Commit the current generation: two-phase writer close, journal
-    /// truncation, reader reopen, overlay drain. `Ok(None)` means
+    /// truncation, reader reopen, then the reader swap and overlay
+    /// drain under one view write lock. `Ok(None)` means
     /// nothing was pending. On error the engine must be considered
     /// poisoned by the caller — the journal is only truncated after a
     /// successful close, so acked puts survive the failure.
@@ -294,11 +380,19 @@ where
             Some(wal) => wal.truncate()?,
             None => 0,
         };
-        if self.opts.open_reader {
-            self.reader = Some(StoreReader::open(&self.dir)?);
+        let reader = if self.opts.open_reader {
+            Some(Arc::new(StoreReader::open(&self.dir)?))
+        } else {
+            None
+        };
+        {
+            let mut view = write_view(&self.view);
+            if reader.is_some() {
+                view.reader = reader;
+            }
+            view.overlay.clear();
+            view.overlay_bytes = 0;
         }
-        self.pending_bytes = 0;
-        self.overlay.clear();
         self.unfed.clear();
         Ok(Some(CommitOutcome {
             generation: report.generation,
@@ -307,15 +401,15 @@ where
         }))
     }
 
-    /// Read one variable: overlay first, committed reader second.
-    /// Used by tests and the crash sweep; the daemon keeps its own
-    /// phase-attributed copy of this lookup.
+    /// Read one variable: overlay first, committed reader second,
+    /// decoding after the view lock is released. Used by tests and the
+    /// crash sweep; the daemon keeps its own phase-attributed copy of
+    /// this lookup.
     pub fn get(&self, step: u32, key: &str) -> Result<(Vec<u8>, GetSource), StoreError> {
-        if let Some(entry) = self.overlay.get(&(step, key.to_string())) {
-            return Ok((entry.data.clone(), GetSource::Overlay));
-        }
-        match &self.reader {
-            Some(reader) => Ok((reader.get(step, key)?, GetSource::Committed)),
+        let found = read_view(&self.view).find(step, key);
+        match found {
+            Some(Found::Overlay(entry)) => Ok((entry.data.to_vec(), GetSource::Overlay)),
+            Some(Found::Committed(reader)) => Ok((reader.get(step, key)?, GetSource::Committed)),
             None => Err(StoreError::NotFound {
                 step,
                 name: key.to_string(),
@@ -345,12 +439,7 @@ impl StoreCore<RealFs> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("isobar-core-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
+    use crate::test_dir::TestDir;
 
     fn opts() -> CoreOptions {
         CoreOptions {
@@ -369,7 +458,7 @@ mod tests {
 
     #[test]
     fn acked_puts_survive_a_drop_without_commit() {
-        let dir = tmp("replay");
+        let dir = TestDir::new("core-replay");
         let mut core = StoreCore::open_real(&dir, opts()).unwrap();
         durable_put(&mut core, 0, "alpha", &[1; 512]);
         durable_put(&mut core, 1, "beta", &[2; 256]);
@@ -394,30 +483,28 @@ mod tests {
         let (data, source) = core.get(0, "alpha").unwrap();
         assert_eq!(data, vec![1; 512]);
         assert_eq!(source, GetSource::Committed);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn commit_truncates_journal_and_supersede_keeps_last_write() {
-        let dir = tmp("truncate");
+        let dir = TestDir::new("core-truncate");
         let mut core = StoreCore::open_real(&dir, opts()).unwrap();
         durable_put(&mut core, 0, "v", &[1; 104]);
         durable_put(&mut core, 0, "v", &[9; 80]);
-        assert_eq!(core.pending_bytes, 80);
+        assert_eq!(core.pending_bytes(), 80);
         let outcome = core.commit().unwrap().expect("pending put");
         assert_eq!(outcome.wal_truncated, 1);
-        assert!(core.overlay.is_empty());
+        assert!(read_view(&core.view()).overlay.is_empty());
         drop(core);
 
         let core = StoreCore::open_real(&dir, opts()).unwrap();
         assert_eq!(core.replay.records, 0);
         assert_eq!(core.get(0, "v").unwrap().0, vec![9; 80]);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn wal_off_restores_the_old_contract() {
-        let dir = tmp("no-wal");
+        let dir = TestDir::new("core-no-wal");
         let mut core = StoreCore::open_real(
             &dir,
             CoreOptions {
@@ -433,14 +520,12 @@ mod tests {
         let core = StoreCore::open_real(&dir, opts()).unwrap();
         assert_eq!(core.replay.records, 0);
         assert!(core.get(0, "v").is_err());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn empty_commit_is_a_no_op() {
-        let dir = tmp("empty");
+        let dir = TestDir::new("core-empty");
         let mut core = StoreCore::open_real(&dir, opts()).unwrap();
         assert!(core.commit().unwrap().is_none());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

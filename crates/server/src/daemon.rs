@@ -4,13 +4,25 @@
 //! # Architecture
 //!
 //! One accept thread hands each connection to its own handler thread
-//! (the workspace is std-only: no async runtime). All store access
-//! funnels through one mutex-guarded `StoreState`: puts go to the
-//! sharded writer *and* to an in-memory overlay so gets are
-//! read-your-writes before the next commit; gets fall back to the
-//! committed [`StoreReader`]. When the overlay crosses the commit
-//! threshold the daemon rolls a generation: the writer's two-phase
-//! manifest commit runs, the reader reopens, the overlay drains.
+//! (the workspace is std-only: no async runtime). Puts and commits
+//! funnel through one mutex-guarded `StoreState`: a put goes to the
+//! sharded writer, the write-ahead journal (fsync before the ack), and
+//! an in-memory overlay so gets are read-your-writes before the next
+//! commit. When the overlay crosses the commit threshold the daemon
+//! rolls a generation: the writer's two-phase manifest commit runs,
+//! the reader reopens, the overlay drains.
+//!
+//! Gets, stats and ls never take that mutex. They read the engine's
+//! [`StoreView`] — the committed [`StoreReader`] plus the overlay —
+//! under its read lock, held only long enough to clone an `Arc` (an
+//! overlay entry's bytes or the reader) or collect the `ls` rows. The
+//! decode, the formatting and the socket write run with no lock held,
+//! so a read never waits behind a put's journal fsync; a get's
+//! `lock_wait` phase is the wait for that read lock alone. A put takes
+//! the view's write lock briefly for its overlay insert, and a commit
+//! swaps the new reader in and clears the overlay under one write
+//! lock, both while holding the store mutex (lock order: store mutex,
+//! then view).
 //!
 //! # Backpressure
 //!
@@ -32,11 +44,11 @@
 //! store on disk is the last committed generation plus one clean
 //! final one.
 
-use crate::core::{CoreOptions, StoreCore};
+use crate::core::{read_view, write_view, CoreOptions, Found, StoreCore, StoreView};
 use crate::obs::{self, ObsState, RequestObs, RequestRecord, ServePhase, SlowLog};
 use crate::protocol::{
-    discard_exact, parse_request_header, read_bounded, write_response, Opcode, RequestHeader,
-    Status, MAX_NAME_LEN, MAX_TENANT_LEN, REQUEST_HEADER_LEN, TENANT_SEPARATOR,
+    discard_exact, parse_request_header, write_response, Opcode, RequestHeader, Status,
+    MAX_NAME_LEN, MAX_TENANT_LEN, REQUEST_HEADER_LEN, TENANT_SEPARATOR,
 };
 use isobar::telemetry::Counter;
 use isobar::trace::{TraceTag, NO_CHUNK};
@@ -48,7 +60,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, Once};
+use std::sync::{Arc, Mutex, MutexGuard, Once, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -197,14 +209,15 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// Cumulative nanoseconds spent blocked on the store mutex — the
-    /// numerator of the lock-convoy share ROADMAP item 1 tracks.
+    /// Cumulative nanoseconds spent blocked on the store mutex (puts)
+    /// or the view lock (every request) — the numerator of the
+    /// lock-convoy share.
     pub fn lock_wait_nanos(&self) -> u64 {
         self.phase_nanos[ServePhase::LockWait as usize]
     }
 
-    /// Fraction of all request wall time spent blocked on the store
-    /// mutex (0 when nothing was served).
+    /// Fraction of all request wall time spent blocked on a lock (0
+    /// when nothing was served).
     pub fn lock_wait_share(&self) -> f64 {
         if self.total_request_nanos == 0 {
             return 0.0;
@@ -256,6 +269,9 @@ struct Shared {
     wal_replayed: u64,
     shutdown: AtomicBool,
     store: Mutex<StoreState>,
+    /// The engine's view (committed reader + overlay): what gets,
+    /// stats and ls read instead of locking `store`.
+    view: Arc<RwLock<StoreView>>,
     /// The counter registry: every count, the merged telemetry, and
     /// the request histograms (see [`ObsState`]).
     obs: Mutex<ObsState>,
@@ -410,6 +426,7 @@ pub fn serve(
         },
     )?;
     let wal_replayed = core.replay.records;
+    let view = core.view();
     let initial_telemetry = {
         let mut recorder = Recorder::new();
         if wal_replayed > 0 {
@@ -443,6 +460,7 @@ pub fn serve(
             reserved_bytes: 0,
             failed: None,
         }),
+        view,
         obs: Mutex::new(ObsState {
             telemetry: initial_telemetry,
             ..Default::default()
@@ -493,6 +511,13 @@ impl Server {
     /// [`Server::join`] afterwards completes the final commit.
     pub fn shutdown(&self) {
         self.handle().shutdown();
+    }
+
+    /// Hold the store mutex until the returned guard drops, as a put
+    /// stuck in its journal fsync would.
+    #[cfg(test)]
+    pub(crate) fn hold_store_lock(&self) -> impl Sized + '_ {
+        self.shared.store.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Wait for the drain to finish, run the final two-phase store
@@ -705,7 +730,6 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, accept_nanos: u64) 
         };
         // The request clock starts at its first byte; client think
         // time between frames is not request latency.
-        let request_start = Instant::now();
         let mut obs = RequestObs::new();
         obs.add(ServePhase::Accept, std::mem::take(&mut accept_pending));
         let header_span = isobar::trace::span(TraceTag::ServeHeaderParse, NO_CHUNK);
@@ -714,7 +738,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, accept_nanos: u64) 
         // cannot pin the thread past `frame_deadline` in total.
         let mut frame = FrameStream {
             stream: &mut stream,
-            deadline: request_start + shared.opts.frame_deadline,
+            deadline: obs.start() + shared.opts.frame_deadline,
         };
         let mut header_buf = [0u8; REQUEST_HEADER_LEN];
         header_buf[0] = first;
@@ -742,10 +766,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, accept_nanos: u64) 
             let _span = isobar::trace::span(TraceTag::ServeRequest, NO_CHUNK);
             handle_request(shared, &mut frame, &header, &mut recorder, &mut obs)
         };
-        // The accept hand-off happened before the first byte arrived,
-        // so wall time includes it on top of the frame clock.
-        let total_nanos = (request_start.elapsed().as_nanos() as u64)
-            .saturating_add(obs.phase_nanos[ServePhase::Accept as usize]);
+        let total_nanos = obs.finish();
         shared.finish_request(obs, total_nanos, &mut recorder);
         if !keep {
             break;
@@ -754,18 +775,24 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, accept_nanos: u64) 
 }
 
 /// Acquire the store mutex with the wait attributed to the request's
-/// lock-wait phase (the convoy scoreboard for ROADMAP item 1).
+/// lock-wait phase (the convoy scoreboard). Only puts take it.
 fn lock_store<'a>(shared: &'a Shared, obs: &mut RequestObs) -> MutexGuard<'a, StoreState> {
     obs.time(ServePhase::LockWait, || {
         shared.store.lock().unwrap_or_else(|e| e.into_inner())
     })
 }
 
-/// Release the store mutex with the handoff attributed to lock-wait:
-/// under contention an unlock wakes a waiter (a futex syscall), and
-/// that cost belongs on the same convoy scoreboard as the waits.
-fn unlock_store(state: MutexGuard<'_, StoreState>, obs: &mut RequestObs) {
-    obs.time(ServePhase::LockWait, || drop(state));
+/// Read-lock the view with the wait attributed to lock-wait: all a
+/// get, stat or ls ever waits on.
+fn lock_view<'a>(shared: &'a Shared, obs: &mut RequestObs) -> RwLockReadGuard<'a, StoreView> {
+    obs.time(ServePhase::LockWait, || read_view(&shared.view))
+}
+
+/// Release a lock with the handoff attributed to lock-wait: under
+/// contention an unlock wakes a waiter (a futex syscall), and that cost
+/// belongs on the same convoy scoreboard as the waits.
+fn unlock<G>(guard: G, obs: &mut RequestObs) {
+    obs.time(ServePhase::LockWait, || drop(guard));
 }
 
 /// Write the response frame with the time attributed to the
@@ -871,7 +898,7 @@ fn handle_put(
             if let Some(msg) = &state.failed {
                 return Some((Status::ServerError, msg.clone()));
             }
-            if state.core.pending_bytes + state.reserved_bytes + len
+            if state.core.pending_bytes() + state.reserved_bytes + len
                 > shared.opts.max_inflight_bytes
             {
                 return Some((
@@ -882,7 +909,7 @@ fn handle_put(
             state.reserved_bytes += len;
             None
         });
-        unlock_store(state, obs);
+        unlock(state, obs);
         if let Some((status, message)) = verdict {
             if status == Status::Busy {
                 obs.counts.busy_rejected += 1;
@@ -895,7 +922,7 @@ fn handle_put(
         state.reserved_bytes = state.reserved_bytes.saturating_sub(len);
     };
     let payload = obs.time(ServePhase::PayloadRead, || {
-        read_bounded(&mut *stream, header.payload_len as usize)
+        read_payload(&mut *stream, header.payload_len as usize)
     });
     let payload = match payload {
         Ok(payload) => payload,
@@ -909,7 +936,7 @@ fn handle_put(
     let result = put_locked(
         shared, &mut state, header, tenant, name, payload, recorder, obs,
     );
-    unlock_store(state, obs);
+    unlock(state, obs);
     match result {
         Ok(()) => {
             obs.counts.puts += 1;
@@ -924,6 +951,17 @@ fn handle_put(
     }
 }
 
+/// Read a put payload straight into the shared buffer the overlay
+/// will hold, so gets answer from it without another copy. The whole
+/// length is allocated up front: admission has already reserved it
+/// against `max_inflight_bytes`.
+fn read_payload(r: &mut impl Read, len: usize) -> io::Result<Arc<[u8]>> {
+    let mut payload: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+    let buf = Arc::get_mut(&mut payload).expect("freshly allocated");
+    r.read_exact(buf)?;
+    Ok(payload)
+}
+
 /// The store side of a put: lazy writer creation, the sharded put
 /// itself, the journal fsync (the ack barrier), the overlay insert,
 /// and a threshold commit. Caller holds the store lock. The journal
@@ -936,7 +974,7 @@ fn put_locked(
     header: &RequestHeader,
     tenant: &str,
     name: &str,
-    payload: Vec<u8>,
+    payload: Arc<[u8]>,
     recorder: &mut Recorder,
     obs: &mut RequestObs,
 ) -> Result<(), StoreError> {
@@ -945,7 +983,7 @@ fn put_locked(
         state.core.store_put(
             header.step,
             &key,
-            payload.clone(),
+            payload.to_vec(),
             usize::from(header.width),
         )
     })?;
@@ -958,11 +996,13 @@ fn put_locked(
         recorder.incr(Counter::ServeWalAppends);
         recorder.add(Counter::ServeWalBytes, wal_bytes);
     }
+    // The same insert as `StoreCore::overlay_insert`, with the view
+    // write-lock wait charged to lock-wait like every other lock.
+    let mut view = obs.time(ServePhase::LockWait, || write_view(&shared.view));
     obs.time(ServePhase::Overlay, || {
-        state
-            .core
-            .overlay_insert(header.step, key, header.width, payload);
+        view.insert(header.step, key, header.width, payload);
     });
+    unlock(view, obs);
     if state.core.over_threshold() {
         // commit_locked emits its own ServeCommit span; attribute the
         // wall time without opening a duplicate.
@@ -981,22 +1021,23 @@ fn handle_get(
     obs: &mut RequestObs,
 ) -> bool {
     let key = store_key(tenant, name);
-    let state = lock_store(shared, obs);
-    let overlay_hit = obs.time(ServePhase::Overlay, || {
-        state
-            .core
-            .overlay
-            .get(&(step, key.clone()))
-            .map(|entry| entry.data.clone())
-    });
-    let result = match overlay_hit {
-        Some(data) => Ok(data),
-        None => obs.time(ServePhase::StoreGet, || match &state.core.reader {
-            Some(reader) => reader.get(step, &key),
-            None => Err(StoreError::NotFound { step, name: key }),
-        }),
+    let view = lock_view(shared, obs);
+    let found = obs.time(ServePhase::Overlay, || view.find(step, &key));
+    unlock(view, obs);
+    let decoded;
+    let result = match &found {
+        Some(Found::Overlay(entry)) => Ok(&entry.data[..]),
+        Some(Found::Committed(reader)) => {
+            match obs.time(ServePhase::StoreGet, || reader.get(step, &key)) {
+                Ok(data) => {
+                    decoded = data;
+                    Ok(&decoded[..])
+                }
+                Err(e) => Err(e),
+            }
+        }
+        None => Err(StoreError::NotFound { step, name: key }),
     };
-    unlock_store(state, obs);
     if let Ok(data) = &result {
         obs.counts.gets += 1;
         recorder.add(Counter::ServeGetBytes, data.len() as u64);
@@ -1014,29 +1055,25 @@ fn handle_stat(
     obs: &mut RequestObs,
 ) -> bool {
     let key = store_key(tenant, name);
-    let state = lock_store(shared, obs);
-    let overlay_line = obs.time(ServePhase::Overlay, || {
-        state.core.overlay.get(&(step, key.clone())).map(|entry| {
-            format!(
-                "name={name} step={step} raw_len={} width={} committed=false\n",
-                entry.data.len(),
-                entry.width
-            )
-        })
-    });
-    let result = match overlay_line {
-        Some(line) => Ok(line),
-        None => obs.time(ServePhase::StoreGet, || match &state.core.reader {
-            Some(reader) => reader.entry(step, &key).map(|entry| {
+    let view = lock_view(shared, obs);
+    let found = obs.time(ServePhase::Overlay, || view.find(step, &key));
+    unlock(view, obs);
+    let result = match found {
+        Some(Found::Overlay(entry)) => Ok(format!(
+            "name={name} step={step} raw_len={} width={} committed=false\n",
+            entry.data.len(),
+            entry.width
+        )),
+        Some(Found::Committed(reader)) => obs.time(ServePhase::StoreGet, || {
+            reader.entry(step, &key).map(|entry| {
                 format!(
                     "name={name} step={step} raw_len={} container_len={} width={} committed=true\n",
                     entry.raw_len, entry.container_len, entry.width
                 )
-            }),
-            None => Err(StoreError::NotFound { step, name: key }),
+            })
         }),
+        None => Err(StoreError::NotFound { step, name: key }),
     };
-    unlock_store(state, obs);
     respond_lookup(stream, obs, step, name, result);
     true
 }
@@ -1067,11 +1104,24 @@ fn handle_ls(
     tenant: &str,
     obs: &mut RequestObs,
 ) -> bool {
-    let state = lock_store(shared, obs);
+    let view = lock_view(shared, obs);
+    let (reader, overlay_rows) = obs.time(ServePhase::Overlay, || {
+        let rows: Vec<((u32, String), u64)> = view
+            .overlay
+            .iter()
+            .filter_map(|((step, key), entry)| {
+                let (entry_tenant, name) = split_key(key);
+                (entry_tenant == tenant)
+                    .then(|| ((*step, name.to_string()), entry.data.len() as u64))
+            })
+            .collect();
+        (view.reader.clone(), rows)
+    });
+    unlock(view, obs);
     // (step, name) -> raw_len; overlay entries shadow committed ones.
     let rows = obs.time(ServePhase::StoreGet, || {
         let mut rows: BTreeMap<(u32, String), u64> = BTreeMap::new();
-        if let Some(reader) = &state.core.reader {
+        if let Some(reader) = &reader {
             for entry in reader.live_entries() {
                 let (entry_tenant, name) = split_key(&entry.name);
                 if entry_tenant == tenant {
@@ -1079,15 +1129,9 @@ fn handle_ls(
                 }
             }
         }
-        for ((step, key), entry) in &state.core.overlay {
-            let (entry_tenant, name) = split_key(key);
-            if entry_tenant == tenant {
-                rows.insert((*step, name.to_string()), entry.data.len() as u64);
-            }
-        }
+        rows.extend(overlay_rows);
         rows
     });
-    unlock_store(state, obs);
     let mut body = String::new();
     for ((step, name), raw_len) in rows {
         body.push_str(&format!("{step}\t{name}\t{raw_len}\n"));
@@ -1159,15 +1203,17 @@ fn metrics_loop(shared: &Arc<Shared>, listener: TcpListener) {
 }
 
 /// Render the `/debug/stats` JSON snapshot: daemon-level gauges (the
-/// store lock is sampled, not held, across the obs render) spliced
-/// together with the observability state's totals, histograms, and
-/// recent-request ring.
+/// overlay's from the view, the rest from the store lock, each sampled
+/// and released before the obs render) spliced together with the
+/// observability state's totals, histograms, and recent-request ring.
 fn debug_stats_json(shared: &Shared) -> String {
-    let (overlay_entries, overlay_bytes, reserved_bytes, last_generation, failed) = {
+    let (overlay_entries, overlay_bytes) = {
+        let view = read_view(&shared.view);
+        (view.overlay.len() as u64, view.overlay_bytes)
+    };
+    let (reserved_bytes, last_generation, failed) = {
         let state = shared.store.lock().unwrap_or_else(|e| e.into_inner());
         (
-            state.core.overlay.len() as u64,
-            state.core.pending_bytes,
             state.reserved_bytes,
             state.core.last_generation,
             state.failed.clone(),

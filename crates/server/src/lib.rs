@@ -41,18 +41,55 @@ pub use protocol::{
 pub use retry::{RetryClient, RetryPolicy};
 
 #[cfg(test)]
+mod test_dir {
+    use std::path::{Path, PathBuf};
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// A scratch directory unique to one call — the process id plus a
+    /// per-process counter — removed with its contents on drop. It is
+    /// not created: the code under test creates what it needs.
+    pub struct TestDir(PathBuf);
+
+    impl TestDir {
+        pub fn new(name: &str) -> Self {
+            static NEXT: AtomicU64 = AtomicU64::new(0);
+            let dir = std::env::temp_dir().join(format!(
+                "isobar-server-{name}-{}-{}",
+                std::process::id(),
+                NEXT.fetch_add(1, Ordering::Relaxed)
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            TestDir(dir)
+        }
+    }
+
+    impl std::ops::Deref for TestDir {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl AsRef<Path> for TestDir {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TestDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocol::{encode_request, REQUEST_HEADER_LEN};
+    use crate::test_dir::TestDir;
     use std::io::{Read, Write};
     use std::net::TcpStream;
-
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let mut dir = std::env::temp_dir();
-        dir.push(format!("isobar-serve-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     fn small_options() -> ServeOptions {
         ServeOptions {
@@ -73,7 +110,7 @@ mod tests {
 
     #[test]
     fn put_get_stat_ls_round_trip_with_tenancy() {
-        let dir = tmp("roundtrip");
+        let dir = TestDir::new("serve-roundtrip");
         let server = serve(&dir, "127.0.0.1:0", None, small_options()).unwrap();
         let addr = server.local_addr();
 
@@ -124,12 +161,11 @@ mod tests {
         let reader = isobar_store::StoreReader::open(&dir).unwrap();
         let key = daemon::store_key("acme", "density");
         assert_eq!(reader.get(3, &key).unwrap(), density);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn committed_data_survives_restart_and_threshold_commit_rolls() {
-        let dir = tmp("restart");
+        let dir = TestDir::new("serve-restart");
         let opts = ServeOptions {
             commit_threshold: 8 * 1024, // commit after ~one put
             ..small_options()
@@ -158,12 +194,11 @@ mod tests {
         drop(client);
         server.shutdown();
         server.join().unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn admission_control_answers_busy_not_queue_growth() {
-        let dir = tmp("busy");
+        let dir = TestDir::new("serve-busy");
         let opts = ServeOptions {
             max_inflight_bytes: 8 * 1024,
             commit_threshold: u64::MAX, // never roll: pending bytes only grow
@@ -187,12 +222,11 @@ mod tests {
         let report = server.join().unwrap();
         assert_eq!(report.busy_rejected, 1);
         assert_eq!(report.puts, 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn connection_limit_answers_busy_and_counts_it_once() {
-        let dir = tmp("connlimit");
+        let dir = TestDir::new("serve-connlimit");
         let opts = ServeOptions {
             max_connections: 1,
             ..small_options()
@@ -221,12 +255,11 @@ mod tests {
             1
         );
         assert_eq!(report.requests, 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn malformed_frames_get_bad_request_and_daemon_survives() {
-        let dir = tmp("malformed");
+        let dir = TestDir::new("serve-malformed");
         let server = serve(&dir, "127.0.0.1:0", None, small_options()).unwrap();
         let addr = server.local_addr();
 
@@ -276,12 +309,11 @@ mod tests {
         server.shutdown();
         let report = server.join().unwrap();
         assert_eq!(report.protocol_errors, 2);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn oversized_payload_is_rejected_from_the_header_alone() {
-        let dir = tmp("oversized");
+        let dir = TestDir::new("serve-oversized");
         let server = serve(&dir, "127.0.0.1:0", None, small_options()).unwrap();
         // Claim a payload far over max_payload but never send it: the
         // daemon must reject from the header without allocating or
@@ -302,12 +334,11 @@ mod tests {
         drop(stream);
         server.shutdown();
         server.join().unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn metrics_endpoint_serves_prometheus_exposition() {
-        let dir = tmp("metrics");
+        let dir = TestDir::new("serve-metrics");
         let server = serve(&dir, "127.0.0.1:0", Some("127.0.0.1:0"), small_options()).unwrap();
         let mut client = Client::connect(server.local_addr()).unwrap();
         let resp = client.put("", 1, "v", 8, payload(256, 6)).unwrap();
@@ -371,12 +402,11 @@ mod tests {
         server.shutdown();
         let report = server.join().unwrap();
         assert_eq!(requests_total(&body), Some(report.requests), "{body}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn flight_recorder_logs_slow_requests_and_debug_stats_serves_json() {
-        let dir = tmp("flight");
+        let dir = TestDir::new("serve-flight");
         let flight_dir = dir.join("flight");
         let opts = ServeOptions {
             slow_ms: Some(0), // every request is "slow": full coverage
@@ -443,12 +473,11 @@ mod tests {
                 assert!(line.contains(key), "missing {key}: {line}");
             }
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn trace_ring_wraparound_keeps_chrome_dump_valid() {
-        let dir = tmp("wraparound");
+        let dir = TestDir::new("serve-wraparound");
         let flight_dir = dir.join("flight");
         let opts = ServeOptions {
             commit_threshold: 16 * 1024, // several generation rolls
@@ -477,12 +506,11 @@ mod tests {
         isobar::trace::validate_chrome_phases(&json).unwrap();
         server.shutdown();
         server.join().unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn shutdown_drains_and_commits_cleanly() {
-        let dir = tmp("drain");
+        let dir = TestDir::new("serve-drain");
         let server = serve(&dir, "127.0.0.1:0", None, small_options()).unwrap();
         let mut client = Client::connect(server.local_addr()).unwrap();
         let resp = client.put("", 0, "v", 8, payload(2048, 7)).unwrap();
@@ -499,7 +527,6 @@ mod tests {
         assert_eq!(reader.get(0, "v").unwrap(), payload(2048, 7));
         // After shutdown a new connection is refused or immediately
         // answered with ShuttingDown — either way, no new work.
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn wal_files_in(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
@@ -519,7 +546,7 @@ mod tests {
 
     #[test]
     fn acked_puts_survive_an_ungraceful_stop_via_wal_replay() {
-        let dir = tmp("wal-replay");
+        let dir = TestDir::new("serve-wal-replay");
         let data_a = payload(4096, 11);
         let data_b = payload(2048, 12);
         {
@@ -562,12 +589,11 @@ mod tests {
             data_a
         );
         assert_eq!(reader.get(6, "beta").unwrap(), data_b);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn wal_disabled_restores_the_old_contract() {
-        let dir = tmp("wal-off");
+        let dir = TestDir::new("serve-wal-off");
         let opts = ServeOptions {
             wal: false,
             ..small_options()
@@ -589,12 +615,11 @@ mod tests {
         server.shutdown();
         let report = server.join().unwrap();
         assert_eq!(report.wal_replayed, 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn graceful_drain_acks_a_slow_inflight_put_and_commits_cleanly() {
-        let dir = tmp("slow-drain");
+        let dir = TestDir::new("serve-slow-drain");
         let server = serve(&dir, "127.0.0.1:0", None, small_options()).unwrap();
         let data = payload(64 * 1024, 14);
         let frame = encode_request(&Request {
@@ -630,12 +655,11 @@ mod tests {
         assert!(wal_files_in(&dir).is_empty(), "no journal after drain");
         let reader = isobar_store::StoreReader::open(&dir).unwrap();
         assert_eq!(reader.get(9, "slow").unwrap(), data);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn retry_client_rides_through_chaos_with_bit_exact_data() {
-        let dir = tmp("chaos-retry");
+        let dir = TestDir::new("serve-chaos-retry");
         let server = serve(&dir, "127.0.0.1:0", None, small_options()).unwrap();
         let addr = server.local_addr();
         let mut resets = 0u64;
@@ -683,12 +707,11 @@ mod tests {
                 payload(2048, step as u8)
             );
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn slowloris_cannot_pin_a_worker_past_the_frame_deadline() {
-        let dir = tmp("slowloris");
+        let dir = TestDir::new("serve-slowloris");
         let opts = ServeOptions {
             frame_deadline: std::time::Duration::from_millis(300),
             ..small_options()
@@ -719,7 +742,124 @@ mod tests {
         drop(client);
         server.shutdown();
         server.join().unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reads_answer_while_the_store_lock_is_held() {
+        let dir = TestDir::new("serve-lock-free-reads");
+        {
+            let server = serve(&dir, "127.0.0.1:0", None, small_options()).unwrap();
+            let mut client = Client::connect(server.local_addr()).unwrap();
+            let resp = client.put("acme", 0, "old", 8, payload(4096, 3)).unwrap();
+            assert_eq!(resp.status, Status::Ok);
+            drop(client);
+            server.shutdown();
+            server.join().unwrap();
+        }
+        // "old" is committed; "new" sits in the overlay.
+        let server = serve(&dir, "127.0.0.1:0", None, small_options()).unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let resp = client.put("acme", 1, "new", 8, payload(2048, 4)).unwrap();
+        assert_eq!(resp.status, Status::Ok);
+
+        // Hold the store mutex as a put in its journal fsync would.
+        let guard = server.hold_store_lock();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reads = std::thread::spawn(move || {
+            let responses = [
+                client.get("acme", 0, "old"),
+                client.get("acme", 1, "new"),
+                client.stat("acme", 0, "old"),
+                client.ls("acme"),
+            ];
+            let _ = tx.send(responses.map(|r| r.unwrap()));
+        });
+        let [committed, overlay, stat, ls] = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("gets, stats and ls must not wait on the store lock");
+        drop(guard);
+        reads.join().unwrap();
+
+        assert_eq!(committed.status, Status::Ok);
+        assert_eq!(committed.payload, payload(4096, 3));
+        assert_eq!(overlay.status, Status::Ok);
+        assert_eq!(overlay.payload, payload(2048, 4));
+        let stat = String::from_utf8(stat.payload).unwrap();
+        assert!(stat.contains("committed=true"), "{stat}");
+        assert_eq!(
+            String::from_utf8(ls.payload).unwrap(),
+            "0\told\t4096\n1\tnew\t2048\n"
+        );
+        server.shutdown();
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn gets_never_miss_an_acked_key_across_commit_swaps() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::{Arc, Mutex};
+
+        let dir = TestDir::new("serve-commit-storm");
+        let opts = ServeOptions {
+            commit_threshold: 48 * 1024, // a commit every third put
+            ..small_options()
+        };
+        let server = serve(&dir, "127.0.0.1:0", None, opts).unwrap();
+        let addr = server.local_addr();
+        let acked: Arc<Mutex<Vec<(u32, String, u8)>>> = Arc::default();
+        let done = Arc::new(AtomicBool::new(false));
+
+        let putters: Vec<_> = (0..2u32)
+            .map(|p| {
+                let acked = Arc::clone(&acked);
+                std::thread::spawn(move || {
+                    let mut client = Client::connect(addr).unwrap();
+                    for step in 0..30u32 {
+                        let name = format!("v{p}");
+                        let seed = (p * 50 + step) as u8;
+                        let resp = client
+                            .put("storm", step, &name, 8, payload(16 * 1024, seed))
+                            .unwrap();
+                        assert_eq!(resp.status, Status::Ok, "{resp:?}");
+                        acked.lock().unwrap().push((step, name, seed));
+                    }
+                })
+            })
+            .collect();
+        let readers: Vec<_> = (0..2usize)
+            .map(|r| {
+                let (acked, done) = (Arc::clone(&acked), Arc::clone(&done));
+                std::thread::spawn(move || {
+                    let mut client = Client::connect(addr).unwrap();
+                    let (mut checked, mut pick) = (0u64, r);
+                    while !done.load(Ordering::SeqCst) {
+                        let key = {
+                            let acked = acked.lock().unwrap();
+                            pick = pick.wrapping_mul(7).wrapping_add(3);
+                            (!acked.is_empty()).then(|| acked[pick % acked.len()].clone())
+                        };
+                        let Some((step, name, seed)) = key else {
+                            std::thread::yield_now();
+                            continue;
+                        };
+                        let resp = client.get("storm", step, &name).unwrap();
+                        assert_eq!(resp.status, Status::Ok, "acked {name} step {step}");
+                        assert_eq!(resp.payload, payload(16 * 1024, seed));
+                        checked += 1;
+                    }
+                    checked
+                })
+            })
+            .collect();
+        for putter in putters {
+            putter.join().unwrap();
+        }
+        done.store(true, Ordering::SeqCst);
+        let checked: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
+        server.shutdown();
+        let report = server.join().unwrap();
+        assert!(report.commits >= 5, "{} commits", report.commits);
+        assert!(checked > 0);
     }
 
     #[test]

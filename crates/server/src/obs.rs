@@ -10,8 +10,8 @@
 //!   a per-request [`RequestObs`], and each phase also emits an
 //!   `isobar_trace` span so a flight-recorder dump shows the same
 //!   decomposition on a timeline. The cumulative per-phase totals are
-//!   the scoreboard for de-convoying the store lock (ROADMAP item 1):
-//!   `lock_wait` divided by total request time is the convoy share.
+//!   the scoreboard for de-convoying the store lock: `lock_wait`
+//!   divided by total request time is the convoy share.
 //! * **Histograms** — per-op and per-tenant HDR-style
 //!   [`LatencyHistogram`]s record every request's wall time, always on,
 //!   exported through `/metrics` and `/debug/stats`.
@@ -93,7 +93,8 @@ pub enum ServePhase {
     Admission,
     /// Reading a put payload off the socket.
     PayloadRead,
-    /// Blocking on the store mutex.
+    /// Blocking on a lock: the store mutex (puts) or the view lock
+    /// (every request), including the unlock hand-off.
     LockWait,
     /// Read-your-writes overlay lookup or insert.
     Overlay,
@@ -242,19 +243,23 @@ pub struct RequestObs {
     pub status: &'static str,
     /// Events this request counted.
     pub counts: ServeCounts,
+    /// The request's first byte: where the boundary clock started.
+    start: Instant,
     /// End of the last attributed stretch.
     mark: Instant,
 }
 
 impl Default for RequestObs {
     fn default() -> Self {
+        let now = Instant::now();
         RequestObs {
             phase_nanos: [0; ServePhase::COUNT],
             op: usize::MAX,
             tenant: String::new(),
             status: "ok",
             counts: ServeCounts::default(),
-            mark: Instant::now(),
+            start: now,
+            mark: now,
         }
     }
 }
@@ -264,6 +269,23 @@ impl RequestObs {
     /// it at the request's first byte.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// When the boundary clock started (the request's first byte).
+    pub fn start(&self) -> Instant {
+        self.start
+    }
+
+    /// Close the request and return its wall time in nanoseconds. The
+    /// stretch since the last boundary — span teardown and bookkeeping
+    /// after the response was written — is charged to write-response,
+    /// and the total is this final boundary minus the start plus the
+    /// accept hand-off measured before it, so the phases sum to the
+    /// total exactly.
+    pub fn finish(&mut self) -> u64 {
+        self.charge(ServePhase::WriteResponse);
+        (self.mark.duration_since(self.start).as_nanos() as u64)
+            .saturating_add(self.phase_nanos[ServePhase::Accept as usize])
     }
 
     /// Add pre-measured time to a phase without touching the boundary

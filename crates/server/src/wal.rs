@@ -496,8 +496,7 @@ mod tests {
     #[test]
     fn wal_set_appends_replays_and_truncates_on_real_fs() {
         use isobar_store::RealFs;
-        let dir = std::env::temp_dir().join(format!("isobar-wal-set-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = crate::test_dir::TestDir::new("wal-set");
         std::fs::create_dir_all(&dir).unwrap();
 
         let (mut set, replay) = WalSet::open(RealFs, &dir).unwrap();
@@ -527,6 +526,5 @@ mod tests {
         assert_eq!(set.truncate().unwrap(), 2);
         let (_, replay) = WalSet::open(RealFs, &dir).unwrap();
         assert_eq!(replay.files, 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
