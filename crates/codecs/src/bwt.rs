@@ -236,15 +236,12 @@ fn num_tables_for(n_syms: usize) -> usize {
     }
 }
 
-/// Working memory for [`build_tables`], reused across blocks and calls
-/// so table construction stays off the allocator once warm.
+/// [`build_tables`]' output and working memory, reused across blocks
+/// and calls so table construction stays off the allocator once warm.
 #[derive(Default)]
 pub(crate) struct TableScratch {
     pm: PackageMergeScratch,
-    /// One encoder per table slot; `build_tables` fills the first
-    /// `n_tables`.
     encoders: Vec<HuffmanEncoder>,
-    /// The table each 50-symbol group is coded with.
     selectors: Vec<u8>,
 }
 
@@ -304,12 +301,7 @@ fn build_tables(symbols: &[u16], n_tables: usize, t: &mut TableScratch) {
                     *c += l;
                 }
             }
-            let mut best = 0;
-            for table in 1..n_tables {
-                if cost[table] < cost[best] {
-                    best = table;
-                }
-            }
+            let best = (1..n_tables).fold(0, |best, t| if cost[t] < cost[best] { t } else { best });
             *sel = best as u8;
         }
     }

@@ -292,16 +292,7 @@ impl HuffmanEncoder {
     pub fn rebuild_from_lengths(&mut self, lengths: &[u8]) {
         self.lengths.clear();
         self.lengths.extend_from_slice(lengths);
-        canonical_codes_into(&self.lengths, &mut self.codes);
-        self.rev_codes.clear();
-        self.rev_codes
-            .extend(self.codes.iter().zip(&self.lengths).map(|(&c, &l)| {
-                if l == 0 {
-                    0
-                } else {
-                    reverse_bits(c, l)
-                }
-            }));
+        self.assign_codes();
     }
 
     /// Replace this encoder's code with an optimal length-limited one
@@ -310,6 +301,11 @@ impl HuffmanEncoder {
         self.lengths.clear();
         self.lengths.resize(freqs.len(), 0);
         package_merge_into(freqs, max_len, pm, &mut self.lengths);
+        self.assign_codes();
+    }
+
+    /// Fill both code tables from `self.lengths`.
+    fn assign_codes(&mut self) {
         canonical_codes_into(&self.lengths, &mut self.codes);
         self.rev_codes.clear();
         self.rev_codes

@@ -3,72 +3,47 @@
 //! After the BWT, symbol runs cluster locally; MTF converts that local
 //! clustering into a global skew towards small ranks (mostly zeros),
 //! which the zero-run encoder and Huffman stage then exploit — the same
-//! chain bzip2 uses.
-//!
-//! The alphabet is the BWT's: the sentinel 0 plus the bytes shifted
-//! into 1..=256. The MTF list is kept as a 256-byte table of the byte
-//! symbols in list order plus the sentinel's rank among them, so both
-//! the lookup and the move work on 8 bytes at a time.
+//! chain bzip2 uses. The list is the 256 byte symbols (BWT symbols
+//! 1..=256) in a byte table plus the sentinel's rank, so a lookup
+//! scans 8 bytes at a time and a move shifts at most 255 bytes.
 
-/// Symbols in the BWT alphabet: the sentinel plus 256 byte values.
+/// Symbols in the BWT alphabet: the sentinel 0 plus 256 byte values.
 pub const ALPHABET: usize = 257;
 
-/// The MTF list: 256 byte symbols in list order, packed little-endian
-/// eight to a word, with the sentinel spliced in at rank `sentinel`.
+/// The MTF list: the byte symbols in list order, with the sentinel at
+/// rank `sentinel`.
 struct MtfList {
-    words: [u64; 32],
+    bytes: [u8; 256],
     sentinel: usize,
 }
 
 impl MtfList {
-    /// The identity list: sentinel first, then bytes 0..=255.
     fn new() -> Self {
-        MtfList {
-            words: std::array::from_fn(|k| {
-                u64::from_le_bytes(std::array::from_fn(|j| (8 * k + j) as u8))
-            }),
-            sentinel: 0,
-        }
+        let bytes = std::array::from_fn(|b| b as u8);
+        MtfList { bytes, sentinel: 0 }
     }
 
-    /// The byte at table index `i`.
-    #[inline]
-    fn byte(&self, i: usize) -> u8 {
-        (self.words[i / 8] >> (8 * (i % 8))) as u8
-    }
-
-    /// Table index of `b`, 8 bytes per probe.
+    /// Table index of `b`: a zero-byte test on each 8 bytes XOR `b`.
     #[inline]
     fn find(&self, b: u8) -> usize {
-        let splat = u64::from(b) * 0x0101_0101_0101_0101;
-        for (k, &w) in self.words.iter().enumerate() {
-            let x = w ^ splat;
-            let zero = x.wrapping_sub(0x0101_0101_0101_0101) & !x & 0x8080_8080_8080_8080;
-            if zero != 0 {
-                return 8 * k + zero.trailing_zeros() as usize / 8;
-            }
-        }
-        unreachable!("the table holds every byte value")
+        const LOW: u64 = 0x0101_0101_0101_0101;
+        let splat = u64::from(b) * LOW;
+        let (k, zero) = (self.bytes.chunks_exact(8))
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")) ^ splat)
+            .map(|x| x.wrapping_sub(LOW) & !x & (LOW << 7))
+            .enumerate()
+            .find(|&(_, zero)| zero != 0)
+            .expect("every byte is in the list");
+        8 * k + zero.trailing_zeros() as usize / 8
     }
 
-    /// Move the byte at table index `i` (list rank `rank`) to the front:
-    /// the bytes before it shift up one place, a word at a time.
+    /// Move the byte at table index `i`, list rank `rank`, to the front.
     #[inline]
-    fn move_byte(&mut self, i: usize, rank: usize) {
-        let (k, j) = (i / 8, i % 8);
-        let mut carry = u64::from(self.byte(i));
-        for w in &mut self.words[..k] {
-            let old = *w;
-            *w = old << 8 | carry;
-            carry = old >> 56;
-        }
-        // Bytes 0..=j of word k take the shift; the rest stay.
-        let low = u64::MAX >> (56 - 8 * j);
-        let w = self.words[k];
-        self.words[k] = (w & !low) | ((w << 8 | carry) & low);
-        if self.sentinel < rank {
-            self.sentinel += 1;
-        }
+    fn move_to_front(&mut self, i: usize, rank: usize) {
+        let b = self.bytes[i];
+        self.bytes.copy_within(0..i, 1);
+        self.bytes[0] = b;
+        self.sentinel += usize::from(self.sentinel < rank);
     }
 }
 
@@ -78,50 +53,39 @@ impl MtfList {
 /// is then moved to rank 0.
 pub fn mtf_encode(input: &[u16]) -> Vec<u16> {
     let mut list = MtfList::new();
-    let mut out = Vec::with_capacity(input.len());
-    for &sym in input {
-        let front = if list.sentinel == 0 {
-            0
-        } else {
-            u16::from(list.byte(0)) + 1
-        };
-        if sym == front {
-            out.push(0);
-            continue;
-        }
-        let rank = if sym == 0 {
-            let rank = list.sentinel;
-            list.sentinel = 0;
-            rank
-        } else {
+    (input.iter())
+        .map(|&sym| {
+            if sym == 0 {
+                return std::mem::take(&mut list.sentinel) as u16;
+            }
             let b = u8::try_from(sym - 1).expect("symbol outside alphabet");
+            if list.sentinel != 0 && list.bytes[0] == b {
+                return 0;
+            }
             let i = list.find(b);
             let rank = i + usize::from(list.sentinel <= i);
-            list.move_byte(i, rank);
-            rank
-        };
-        out.push(rank as u16);
-    }
-    out
+            list.move_to_front(i, rank);
+            rank as u16
+        })
+        .collect()
 }
 
-/// Inverse of [`mtf_encode`]. Every rank must be below [`ALPHABET`].
+/// Inverse of [`mtf_encode`]. Panics on a rank outside `0..ALPHABET`.
 pub fn mtf_decode(ranks: &[u16]) -> Vec<u16> {
     let mut list = MtfList::new();
-    let mut out = Vec::with_capacity(ranks.len());
-    for &rank in ranks {
-        let rank = usize::from(rank);
-        assert!(rank < ALPHABET, "rank outside alphabet");
-        if rank == list.sentinel {
-            list.sentinel = 0;
-            out.push(0);
-            continue;
-        }
-        let i = rank - usize::from(list.sentinel < rank);
-        out.push(u16::from(list.byte(i)) + 1);
-        list.move_byte(i, rank);
-    }
-    out
+    (ranks.iter())
+        .map(|&rank| {
+            let rank = usize::from(rank);
+            if rank == list.sentinel {
+                list.sentinel = 0;
+                return 0;
+            }
+            let i = rank - usize::from(list.sentinel < rank);
+            let b = list.bytes[i];
+            list.move_to_front(i, rank);
+            u16::from(b) + 1
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -12,20 +12,11 @@
 //! a real daemon performs — without a TCP stack in the reproduction
 //! loop.
 //!
-//! # The view
-//!
-//! The view sits behind its own `RwLock`, shared with the daemon, so
-//! gets, stats and ls never wait on the store mutex a put holds through
-//! its journal fsync. Readers hold the read lock only long enough to
-//! clone an `Arc` — an overlay entry's bytes or the committed reader —
-//! and decode after releasing it. Writers (the overlay insert and the
-//! commit swap) take the write lock while holding the store mutex:
-//! lock order is store mutex, then view, never the reverse. A commit
-//! opens the new reader first, then swaps it in and clears the overlay
-//! under one write lock, so a reader sees either the old reader with
-//! the full overlay or the new reader with an empty one, never a
-//! missing acked key. A reader a get already holds stays valid:
-//! segments are immutable and stay open.
+//! The view has its own `RwLock`, shared with the daemon, so reads
+//! never wait on the store mutex (docs/SERVE.md, "Which requests take
+//! the store lock"). Writers hold the store mutex first, then the view;
+//! a commit swaps the new reader in and clears the overlay under one
+//! view write lock, so no reader ever misses an acked key.
 //!
 //! # Durable put sequence
 //!
@@ -98,7 +89,7 @@ pub struct OverlayEntry {
 }
 
 /// What reads see: the committed reader and the overlay, replaced
-/// together at commit (see the module docs for the locking rules).
+/// together at commit.
 #[derive(Default)]
 pub struct StoreView {
     /// Committed view; `None` before the first commit of a fresh store
@@ -120,9 +111,8 @@ pub enum Found {
 }
 
 impl StoreView {
-    /// Find `(step, key)`: the overlay first, then the committed reader
-    /// to decode from once the lock is released. `None` means neither
-    /// exists.
+    /// Find `(step, key)`: the overlay first, else the committed reader
+    /// to decode from once the lock is released.
     pub fn find(&self, step: u32, key: &str) -> Option<Found> {
         match self.overlay.get(&(step, key.to_string())) {
             Some(entry) => Some(Found::Overlay(entry.clone())),
@@ -144,14 +134,12 @@ impl StoreView {
     }
 }
 
-/// Read-lock a shared view, ignoring poison: the view is replaced
-/// whole under the write lock, so a panicking holder cannot leave it
-/// half-updated.
+/// Read-lock a shared view, ignoring poison (updates are single steps).
 pub fn read_view(view: &RwLock<StoreView>) -> RwLockReadGuard<'_, StoreView> {
     view.read().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Write-lock a shared view (see [`read_view`]).
+/// Write-lock a shared view, ignoring poison.
 pub fn write_view(view: &RwLock<StoreView>) -> RwLockWriteGuard<'_, StoreView> {
     view.write().unwrap_or_else(|e| e.into_inner())
 }
@@ -326,8 +314,7 @@ where
     }
 
     /// Insert one put into the read-your-writes overlay, superseding
-    /// any earlier payload for the same `(step, key)`. Takes the view's
-    /// write lock briefly.
+    /// any earlier payload for the same `(step, key)`.
     pub fn overlay_insert(
         &mut self,
         step: u32,
@@ -338,8 +325,7 @@ where
         write_view(&self.view).insert(step, key, width, data.into());
     }
 
-    /// The view reads see, for sharing with readers that must not take
-    /// the caller's store lock.
+    /// The view, for readers that must not take the store lock.
     pub fn view(&self) -> Arc<RwLock<StoreView>> {
         Arc::clone(&self.view)
     }
@@ -385,14 +371,14 @@ where
         } else {
             None
         };
-        {
-            let mut view = write_view(&self.view);
-            if reader.is_some() {
-                view.reader = reader;
-            }
-            view.overlay.clear();
-            view.overlay_bytes = 0;
-        }
+        // One write lock swaps the reader in and drains the overlay; the
+        // drained entries are freed after it is released.
+        let view = StoreView {
+            reader,
+            ..StoreView::default()
+        };
+        let drained = std::mem::replace(&mut *write_view(&self.view), view);
+        drop(drained);
         self.unfed.clear();
         Ok(Some(CommitOutcome {
             generation: report.generation,
@@ -401,10 +387,9 @@ where
         }))
     }
 
-    /// Read one variable: overlay first, committed reader second,
-    /// decoding after the view lock is released. Used by tests and the
-    /// crash sweep; the daemon keeps its own phase-attributed copy of
-    /// this lookup.
+    /// Read one variable: overlay first, committed reader second.
+    /// Used by tests and the crash sweep; the daemon keeps its own
+    /// phase-attributed copy of this lookup.
     pub fn get(&self, step: u32, key: &str) -> Result<(Vec<u8>, GetSource), StoreError> {
         let found = read_view(&self.view).find(step, key);
         match found {
@@ -415,11 +400,6 @@ where
                 name: key.to_string(),
             }),
         }
-    }
-
-    /// Whether a writer currently exists (a commit would be non-empty).
-    pub fn has_writer(&self) -> bool {
-        self.writer.is_some()
     }
 
     /// Whether a commit would do anything: a live writer, or replayed

@@ -12,17 +12,11 @@
 //! rolls a generation: the writer's two-phase manifest commit runs,
 //! the reader reopens, the overlay drains.
 //!
-//! Gets, stats and ls never take that mutex. They read the engine's
-//! [`StoreView`] — the committed [`StoreReader`] plus the overlay —
-//! under its read lock, held only long enough to clone an `Arc` (an
-//! overlay entry's bytes or the reader) or collect the `ls` rows. The
-//! decode, the formatting and the socket write run with no lock held,
-//! so a read never waits behind a put's journal fsync; a get's
-//! `lock_wait` phase is the wait for that read lock alone. A put takes
-//! the view's write lock briefly for its overlay insert, and a commit
-//! swaps the new reader in and clears the overlay under one write
-//! lock, both while holding the store mutex (lock order: store mutex,
-//! then view).
+//! Gets, stats and ls never take that mutex: they clone an `Arc` out of
+//! the engine's [`StoreView`] (committed [`StoreReader`] plus overlay)
+//! under its read lock, then decode, format and answer with no lock
+//! held, so a get's `lock_wait` is that read lock alone (docs/SERVE.md,
+//! "Which requests take the store lock").
 //!
 //! # Backpressure
 //!
@@ -54,6 +48,7 @@ use isobar::telemetry::Counter;
 use isobar::trace::{TraceTag, NO_CHUNK};
 use isobar::{IsobarOptions, Recorder, TelemetrySnapshot};
 use isobar_store::{RealFs, StoreError};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -269,8 +264,7 @@ struct Shared {
     wal_replayed: u64,
     shutdown: AtomicBool,
     store: Mutex<StoreState>,
-    /// The engine's view (committed reader + overlay): what gets,
-    /// stats and ls read instead of locking `store`.
+    /// What gets, stats and ls read instead of locking `store`.
     view: Arc<RwLock<StoreView>>,
     /// The counter registry: every count, the merged telemetry, and
     /// the request histograms (see [`ObsState`]).
@@ -782,8 +776,7 @@ fn lock_store<'a>(shared: &'a Shared, obs: &mut RequestObs) -> MutexGuard<'a, St
     })
 }
 
-/// Read-lock the view with the wait attributed to lock-wait: all a
-/// get, stat or ls ever waits on.
+/// Read-lock the view with the wait attributed to lock-wait.
 fn lock_view<'a>(shared: &'a Shared, obs: &mut RequestObs) -> RwLockReadGuard<'a, StoreView> {
     obs.time(ServePhase::LockWait, || read_view(&shared.view))
 }
@@ -951,10 +944,8 @@ fn handle_put(
     }
 }
 
-/// Read a put payload straight into the shared buffer the overlay
-/// will hold, so gets answer from it without another copy. The whole
-/// length is allocated up front: admission has already reserved it
-/// against `max_inflight_bytes`.
+/// Read a put payload straight into the buffer the overlay will share
+/// with gets. Admission has already reserved the whole length.
 fn read_payload(r: &mut impl Read, len: usize) -> io::Result<Arc<[u8]>> {
     let mut payload: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
     let buf = Arc::get_mut(&mut payload).expect("freshly allocated");
@@ -996,8 +987,7 @@ fn put_locked(
         recorder.incr(Counter::ServeWalAppends);
         recorder.add(Counter::ServeWalBytes, wal_bytes);
     }
-    // The same insert as `StoreCore::overlay_insert`, with the view
-    // write-lock wait charged to lock-wait like every other lock.
+    // `StoreCore::overlay_insert`, with the lock wait charged here.
     let mut view = obs.time(ServePhase::LockWait, || write_view(&shared.view));
     obs.time(ServePhase::Overlay, || {
         view.insert(header.step, key, header.width, payload);
@@ -1024,18 +1014,11 @@ fn handle_get(
     let view = lock_view(shared, obs);
     let found = obs.time(ServePhase::Overlay, || view.find(step, &key));
     unlock(view, obs);
-    let decoded;
     let result = match &found {
-        Some(Found::Overlay(entry)) => Ok(&entry.data[..]),
-        Some(Found::Committed(reader)) => {
-            match obs.time(ServePhase::StoreGet, || reader.get(step, &key)) {
-                Ok(data) => {
-                    decoded = data;
-                    Ok(&decoded[..])
-                }
-                Err(e) => Err(e),
-            }
-        }
+        Some(Found::Overlay(entry)) => Ok(Cow::Borrowed(&entry.data[..])),
+        Some(Found::Committed(reader)) => obs
+            .time(ServePhase::StoreGet, || reader.get(step, &key))
+            .map(Cow::Owned),
         None => Err(StoreError::NotFound { step, name: key }),
     };
     if let Ok(data) = &result {

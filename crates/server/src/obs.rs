@@ -276,12 +276,10 @@ impl RequestObs {
         self.start
     }
 
-    /// Close the request and return its wall time in nanoseconds. The
-    /// stretch since the last boundary — span teardown and bookkeeping
-    /// after the response was written — is charged to write-response,
-    /// and the total is this final boundary minus the start plus the
-    /// accept hand-off measured before it, so the phases sum to the
-    /// total exactly.
+    /// Close the request: charge the stretch since the last boundary
+    /// (teardown after the response) to write-response and return the
+    /// wall time — final boundary minus start, plus the accept hand-off
+    /// — which the phases sum to exactly.
     pub fn finish(&mut self) -> u64 {
         self.charge(ServePhase::WriteResponse);
         (self.mark.duration_since(self.start).as_nanos() as u64)
