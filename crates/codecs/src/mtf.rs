@@ -80,6 +80,9 @@ pub fn mtf_decode(ranks: &[u16]) -> Vec<u16> {
                 list.sentinel = 0;
                 return 0;
             }
+            if rank == 0 {
+                return u16::from(list.bytes[0]) + 1;
+            }
             let i = rank - usize::from(list.sentinel < rank);
             let b = list.bytes[i];
             list.move_to_front(i, rank);
