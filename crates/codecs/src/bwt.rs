@@ -18,12 +18,10 @@ use crate::bitio::{MsbBitReader, MsbBitWriter};
 use crate::codec::{Codec, CodecError, CodecId, CodecScratch, CompressionLevel};
 use crate::deflate::adler32;
 use crate::huffman::{HuffmanDecoder, HuffmanEncoder, PackageMergeScratch};
-use crate::mtf::{mtf_decode, mtf_encode};
+use crate::mtf::{mtf_decode, mtf_encode, ALPHABET as BWT_ALPHA};
 use crate::rle::{rle1_decode, rle1_encode, zrle_decode_bounded, zrle_encode};
 use crate::suffix::suffix_array_bytes;
 
-/// BWT alphabet: 256 byte values (shifted +1) plus the sentinel 0.
-const BWT_ALPHA: usize = 257;
 /// Entropy alphabet: RUNA, RUNB, then MTF ranks 1..=256 shifted by one.
 const ENTROPY_ALPHA: usize = 258;
 /// Maximum Huffman code length for the entropy stage.

@@ -315,13 +315,7 @@ where
 
     /// Insert one put into the read-your-writes overlay, superseding
     /// any earlier payload for the same `(step, key)`.
-    pub fn overlay_insert(
-        &mut self,
-        step: u32,
-        key: String,
-        width: u8,
-        data: impl Into<Arc<[u8]>>,
-    ) {
+    pub fn overlay_insert(&mut self, step: u32, key: String, width: u8, data: Vec<u8>) {
         write_view(&self.view).insert(step, key, width, data.into());
     }
 
