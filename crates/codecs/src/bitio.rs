@@ -101,34 +101,60 @@ impl<'a> LsbBitReader<'a> {
         }
     }
 
+    /// Top the buffer up to at least 56 bits, or to the end of input.
+    ///
+    /// While 8 input bytes remain this is one unaligned 8-byte load,
+    /// of which it keeps the whole bytes that fit. Only whole bytes are
+    /// loaded, so the bits above `nbits` stay zero: past the end of
+    /// input the buffer reads as zero-filled.
     #[inline]
-    fn refill(&mut self) {
-        while self.nbits <= 56 && self.pos < self.data.len() {
-            self.acc |= (self.data[self.pos] as u64) << self.nbits;
-            self.pos += 1;
-            self.nbits += 8;
+    pub(crate) fn refill(&mut self) {
+        if let Some(word) = self.data.get(self.pos..self.pos + 8) {
+            let word = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+            let filled = self.nbits | 56;
+            self.acc |= (word << self.nbits) & ((1u64 << filled) - 1);
+            self.pos += ((filled - self.nbits) / 8) as usize;
+            self.nbits = filled;
+        } else {
+            while self.nbits <= 56 && self.pos < self.data.len() {
+                self.acc |= (self.data[self.pos] as u64) << self.nbits;
+                self.pos += 1;
+                self.nbits += 8;
+            }
         }
+    }
+
+    /// The buffered bits, next stream bit lowest; zero past the end.
+    #[inline]
+    pub(crate) fn buffered(&self) -> u64 {
+        self.acc
+    }
+
+    /// Take `count` (≤ 32) buffered bits without a bounds check, for
+    /// decode loops that [`refill`](Self::refill) once per token. An
+    /// over-read yields zero bits and shows in [`overran`](Self::overran).
+    #[inline]
+    pub(crate) fn take(&mut self, count: u32) -> u32 {
+        debug_assert!(count <= 32);
+        let bits = (self.acc & ((1u64 << count) - 1)) as u32;
+        self.acc >>= count;
+        self.nbits = self.nbits.wrapping_sub(count);
+        bits
+    }
+
+    /// Whether [`take`](Self::take) has read past the end of input.
+    /// The reader is unusable after an over-read.
+    #[inline]
+    pub(crate) fn overran(&self) -> bool {
+        self.nbits > 64
     }
 
     /// Read `count` bits (0 ≤ count ≤ 32), LSB of the result is the
     /// first bit of the stream.
     #[inline]
     pub fn read_bits(&mut self, count: u32) -> Result<u32, CodecError> {
-        debug_assert!(count <= 32);
-        if self.nbits < count {
-            self.refill();
-            if self.nbits < count {
-                return Err(CodecError::UnexpectedEof);
-            }
-        }
-        let mask = if count == 32 {
-            u64::MAX >> 32
-        } else {
-            (1u64 << count) - 1
-        };
-        let bits = (self.acc & mask) as u32;
-        self.acc >>= count;
-        self.nbits -= count;
+        let bits = self.peek_bits(count);
+        self.consume(count)?;
         Ok(bits)
     }
 
@@ -138,7 +164,7 @@ impl<'a> LsbBitReader<'a> {
         self.read_bits(1)
     }
 
-    /// Peek at the next `count` bits (≤ 16) without consuming them.
+    /// Peek at the next `count` bits (≤ 32) without consuming them.
     ///
     /// Past the end of the stream the missing bits read as zero; the
     /// caller detects true over-reads when it later `consume`s. This is
@@ -146,7 +172,7 @@ impl<'a> LsbBitReader<'a> {
     /// fixed window that may straddle the stream's last code.
     #[inline]
     pub fn peek_bits(&mut self, count: u32) -> u32 {
-        debug_assert!(count <= 16);
+        debug_assert!(count <= 32);
         if self.nbits < count {
             self.refill();
         }
@@ -281,17 +307,8 @@ impl<'a> MsbBitReader<'a> {
     /// MSB of the result.
     #[inline]
     pub fn read_bits(&mut self, count: u32) -> Result<u32, CodecError> {
-        debug_assert!(count <= 32);
-        while self.nbits < count {
-            if self.pos >= self.data.len() {
-                return Err(CodecError::UnexpectedEof);
-            }
-            self.acc = (self.acc << 8) | self.data[self.pos] as u64;
-            self.pos += 1;
-            self.nbits += 8;
-        }
-        self.nbits -= count;
-        let bits = (self.acc >> self.nbits) as u32 & mask32(count);
+        let bits = self.peek_bits(count);
+        self.consume(count)?;
         Ok(bits)
     }
 
@@ -299,6 +316,48 @@ impl<'a> MsbBitReader<'a> {
     #[inline]
     pub fn read_bit(&mut self) -> Result<u32, CodecError> {
         self.read_bits(1)
+    }
+
+    /// Load whole bytes until at least 56 bits are buffered or the
+    /// input ends. Bits above `nbits` are stale, never read.
+    #[inline]
+    fn refill(&mut self) {
+        while self.nbits < 56 && self.pos < self.data.len() {
+            self.acc = (self.acc << 8) | self.data[self.pos] as u64;
+            self.pos += 1;
+            self.nbits += 8;
+        }
+    }
+
+    /// Peek at the next `count` bits (≤ 32) without consuming them.
+    /// Past the end of the stream the missing bits read as zero, as in
+    /// [`LsbBitReader::peek_bits`].
+    #[inline]
+    pub(crate) fn peek_bits(&mut self, count: u32) -> u32 {
+        debug_assert!(count <= 32);
+        if self.nbits < count {
+            self.refill();
+        }
+        let bits = if self.nbits >= count {
+            self.acc >> (self.nbits - count)
+        } else {
+            self.acc << (count - self.nbits)
+        };
+        bits as u32 & mask32(count)
+    }
+
+    /// Consume `count` bits previously peeked. Errors, consuming
+    /// nothing, if the stream holds fewer than `count` bits.
+    #[inline]
+    pub(crate) fn consume(&mut self, count: u32) -> Result<(), CodecError> {
+        if self.nbits < count {
+            self.refill();
+            if self.nbits < count {
+                return Err(CodecError::UnexpectedEof);
+            }
+        }
+        self.nbits -= count;
+        Ok(())
     }
 
     /// Bits left in the stream (accumulator + unread bytes). Decoders

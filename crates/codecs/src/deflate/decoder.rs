@@ -1,8 +1,10 @@
 //! DEFLATE decoder (inflate): bit stream → bytes (RFC 1951).
 
+use std::sync::OnceLock;
+
 use crate::bitio::LsbBitReader;
 use crate::codec::CodecError;
-use crate::huffman::{FastDecoder, HuffmanDecoder};
+use crate::huffman::FastDecoder;
 
 use super::tables::*;
 
@@ -32,9 +34,8 @@ pub fn inflate_into(r: &mut LsbBitReader<'_>, out: &mut Vec<u8>) -> Result<(), C
         match r.read_bits(2)? {
             0b00 => read_stored_block(r, out)?,
             0b01 => {
-                let lit = FastDecoder::from_lengths(&fixed_litlen_lengths())?;
-                let dist = FastDecoder::from_lengths(&fixed_dist_lengths())?;
-                read_compressed_block(r, out, &lit, &dist)?;
+                let (lit, dist) = fixed_decoders();
+                read_compressed_block(r, out, lit, dist)?;
             }
             0b10 => {
                 let (lit, dist) = read_dynamic_header(r)?;
@@ -46,6 +47,15 @@ pub fn inflate_into(r: &mut LsbBitReader<'_>, out: &mut Vec<u8>) -> Result<(), C
             return Ok(());
         }
     }
+}
+
+/// The fixed-Huffman block decoders (RFC 1951 §3.2.6), built once.
+fn fixed_decoders() -> &'static (FastDecoder, FastDecoder) {
+    static FIXED: OnceLock<(FastDecoder, FastDecoder)> = OnceLock::new();
+    FIXED.get_or_init(|| {
+        let build = |lengths: &[u8]| FastDecoder::from_lengths(lengths).expect("complete code");
+        (build(&fixed_litlen_lengths()), build(&fixed_dist_lengths()))
+    })
 }
 
 fn read_stored_block(r: &mut LsbBitReader<'_>, out: &mut Vec<u8>) -> Result<(), CodecError> {
@@ -75,7 +85,7 @@ fn read_dynamic_header(r: &mut LsbBitReader<'_>) -> Result<(FastDecoder, FastDec
     for &sym in CODELEN_ORDER.iter().take(hclen) {
         cl_lengths[sym] = r.read_bits(3)? as u8;
     }
-    let cl_decoder = HuffmanDecoder::from_lengths(&cl_lengths)?;
+    let cl_decoder = FastDecoder::from_lengths(&cl_lengths)?;
 
     let mut lengths = vec![0u8; hlit + hdist];
     let mut i = 0usize;
@@ -120,6 +130,14 @@ fn fill_run(lengths: &mut [u8], i: &mut usize, value: u8, run: usize) -> Result<
     Ok(())
 }
 
+/// Decode one Huffman-coded block's tokens until end-of-block.
+///
+/// Each token comes from one refill of the bit buffer: the
+/// literal/length code, its extra bits, the distance code and its
+/// extra bits take at most 15 + 5 + 15 + 13 = 48 of the ≥ 56 buffered
+/// bits. Past the end of input the buffer reads as zeros, and one
+/// check after each token turns such an over-read into
+/// [`CodecError::UnexpectedEof`].
 fn read_compressed_block(
     r: &mut LsbBitReader<'_>,
     out: &mut Vec<u8>,
@@ -127,31 +145,60 @@ fn read_compressed_block(
     dist: &FastDecoder,
 ) -> Result<(), CodecError> {
     loop {
-        let sym = lit.decode_lsb(r)? as usize;
-        match sym {
-            0..=255 => out.push(sym as u8),
+        r.refill();
+        let (sym, n) = lit.resolve(r.buffered());
+        if n == 0 {
+            return Err(CodecError::Corrupt("invalid Huffman code"));
+        }
+        r.take(n);
+        match sym as usize {
+            sym @ 0..=255 => out.push(sym as u8),
+            256 if r.overran() => return Err(CodecError::UnexpectedEof),
             256 => return Ok(()),
-            257..=285 => {
+            sym @ 257..=285 => {
                 let idx = sym - 257;
-                let len =
-                    LENGTH_BASE[idx] as usize + r.read_bits(LENGTH_EXTRA[idx] as u32)? as usize;
-                let dsym = dist.decode_lsb(r)? as usize;
+                let len = LENGTH_BASE[idx] as usize + r.take(LENGTH_EXTRA[idx] as u32) as usize;
+                let (dsym, n) = dist.resolve(r.buffered());
+                if n == 0 {
+                    return Err(CodecError::Corrupt("invalid Huffman code"));
+                }
+                r.take(n);
+                let dsym = dsym as usize;
                 if dsym >= NUM_DIST {
                     return Err(CodecError::Corrupt("invalid distance symbol"));
                 }
-                let d = DIST_BASE[dsym] as usize + r.read_bits(DIST_EXTRA[dsym] as u32)? as usize;
+                let d = DIST_BASE[dsym] as usize + r.take(DIST_EXTRA[dsym] as u32) as usize;
                 if d > out.len() {
                     return Err(CodecError::Corrupt("distance reaches before output start"));
                 }
-                let start = out.len() - d;
-                out.reserve(len);
-                for k in 0..len {
-                    let b = out[start + k];
-                    out.push(b);
-                }
+                copy_match(out, d, len);
             }
             _ => return Err(CodecError::Corrupt("invalid literal/length symbol")),
         }
+        if r.overran() {
+            return Err(CodecError::UnexpectedEof);
+        }
+    }
+}
+
+/// Append the `len` bytes that start `d` bytes back (`1 ≤ d ≤ out.len()`).
+///
+/// The copy overlaps its own output when `d < len`, repeating the last
+/// `d` bytes. A run of one byte is a fill; otherwise each slice copy
+/// takes a whole number of periods from `out.len() - d`, which doubles
+/// the pattern per copy. `d ≥ len` is a single copy.
+fn copy_match(out: &mut Vec<u8>, d: usize, len: usize) {
+    let start = out.len() - d;
+    if d == 1 {
+        let byte = out[start];
+        out.resize(out.len() + len, byte);
+        return;
+    }
+    let end = out.len() + len;
+    out.reserve(len);
+    while out.len() < end {
+        let chunk = (out.len() - start).min(end - out.len());
+        out.extend_from_within(start..start + chunk);
     }
 }
 

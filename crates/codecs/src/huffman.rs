@@ -369,13 +369,52 @@ impl HuffmanEncoder {
     }
 }
 
-/// Canonical decoding tables (count/offset per length).
+/// Count the codes of each length (index 0 counts nothing) after
+/// checking that every length is at most `limit` and that the set is
+/// not over-subscribed (Kraft sum > 1), which could otherwise make two
+/// codes ambiguous. Incomplete sets pass (DEFLATE permits them for
+/// distance codes); decoders report reads that fall in the gap as
+/// [`CodecError::Corrupt`].
+fn length_counts(
+    lengths: &[u8],
+    limit: u8,
+) -> Result<[u32; MAX_SUPPORTED_LEN as usize + 1], CodecError> {
+    debug_assert!(limit <= MAX_SUPPORTED_LEN);
+    let mut count = [0u32; MAX_SUPPORTED_LEN as usize + 1];
+    for &len in lengths {
+        if len > limit {
+            return Err(CodecError::Corrupt("code length exceeds supported maximum"));
+        }
+        count[len as usize] += 1;
+    }
+    count[0] = 0;
+    // Kraft check, scaled by 2^MAX_SUPPORTED_LEN to stay in integers.
+    let kraft: u64 = count
+        .iter()
+        .enumerate()
+        .map(|(len, &c)| (c as u64) << (MAX_SUPPORTED_LEN as usize - len))
+        .sum();
+    if kraft > 1u64 << MAX_SUPPORTED_LEN {
+        return Err(CodecError::Corrupt("over-subscribed Huffman code"));
+    }
+    Ok(count)
+}
+
+/// Bits resolved by the lookup table of [`HuffmanDecoder`].
+const MSB_TABLE_BITS: u32 = 10;
+
+/// Canonical decoder for MSB-first (bzip2) streams.
 ///
-/// Decoding walks the code one bit at a time, comparing against the
-/// first-code of each length; with ≤ 20-bit codes this stays cheap and
-/// avoids large lookup tables.
+/// A `2^10`-entry table, indexed by the next 10 stream bits, resolves
+/// every code of up to 10 bits in one probe. Longer codes (the bzip2
+/// codec allows 20 bits) and reads at the stream tail fall back to the
+/// canonical search: the next `max_len` bits are compared against the
+/// first code of each length in turn.
 #[derive(Debug, Clone)]
 pub struct HuffmanDecoder {
+    /// `sym << 8 | len` per 10-bit window; 0 where no code of at most
+    /// 10 bits matches.
+    table: Vec<u32>,
     /// `first_code[len]` — canonical value of the first code of `len` bits.
     first_code: Vec<u32>,
     /// `first_index[len]` — index into `symbols` of that first code.
@@ -390,31 +429,12 @@ pub struct HuffmanDecoder {
 impl HuffmanDecoder {
     /// Build a decoder from per-symbol code lengths.
     ///
-    /// Rejects over-subscribed length sets (Kraft sum > 1), which could
-    /// otherwise make two codes ambiguous. Incomplete sets are accepted
-    /// (DEFLATE permits them for distance codes); reads that fall in the
-    /// gap surface as [`CodecError::Corrupt`].
+    /// Rejects over-subscribed length sets; incomplete sets are
+    /// accepted and reads that fall in the gap surface as
+    /// [`CodecError::Corrupt`].
     pub fn from_lengths(lengths: &[u8]) -> Result<Self, CodecError> {
         let max_len = lengths.iter().copied().max().unwrap_or(0);
-        if max_len > MAX_SUPPORTED_LEN {
-            return Err(CodecError::Corrupt("code length exceeds supported maximum"));
-        }
-        let mut count = vec![0u32; max_len as usize + 1];
-        for &len in lengths {
-            count[len as usize] += 1;
-        }
-        count[0] = 0;
-
-        // Kraft check: sum of 2^(max-len) must not exceed 2^max.
-        let kraft: u64 = count
-            .iter()
-            .enumerate()
-            .skip(1)
-            .map(|(len, &c)| (c as u64) << (max_len as usize - len))
-            .sum();
-        if max_len > 0 && kraft > 1u64 << max_len {
-            return Err(CodecError::Corrupt("over-subscribed Huffman code"));
-        }
+        let count = length_counts(lengths, MAX_SUPPORTED_LEN)?[..=max_len as usize].to_vec();
 
         let mut first_code = vec![0u32; max_len as usize + 1];
         let mut first_index = vec![0u32; max_len as usize + 1];
@@ -436,7 +456,20 @@ impl HuffmanDecoder {
             }
         }
 
+        // Each code of `len` ≤ 10 bits owns the 2^(10 - len) windows
+        // that start with it.
+        let mut table = vec![0u32; 1 << MSB_TABLE_BITS];
+        for len in 1..=max_len.min(MSB_TABLE_BITS as u8) as usize {
+            let shift = MSB_TABLE_BITS as usize - len;
+            for rank in 0..count[len] {
+                let sym = symbols[(first_index[len] + rank) as usize];
+                let code = (first_code[len] + rank) as usize;
+                table[code << shift..(code + 1) << shift].fill(u32::from(sym) << 8 | len as u32);
+            }
+        }
+
         Ok(HuffmanDecoder {
+            table,
             first_code,
             first_index,
             count,
@@ -445,37 +478,24 @@ impl HuffmanDecoder {
         })
     }
 
-    #[inline]
-    fn lookup(&self, code: u32, len: usize) -> Option<u16> {
-        let offset = code.wrapping_sub(self.first_code[len]);
-        if offset < self.count[len] {
-            Some(self.symbols[(self.first_index[len] + offset) as usize])
-        } else {
-            None
-        }
-    }
-
-    /// Decode one symbol from an LSB-first (DEFLATE) stream.
-    #[inline]
-    pub fn decode_lsb(&self, r: &mut LsbBitReader<'_>) -> Result<u16, CodecError> {
-        let mut code = 0u32;
-        for len in 1..=self.max_len as usize {
-            code = (code << 1) | r.read_bit()?;
-            if let Some(sym) = self.lookup(code, len) {
-                return Ok(sym);
-            }
-        }
-        Err(CodecError::Corrupt("invalid Huffman code"))
-    }
-
     /// Decode one symbol from an MSB-first (bzip2) stream.
     #[inline]
     pub fn decode_msb(&self, r: &mut MsbBitReader<'_>) -> Result<u16, CodecError> {
-        let mut code = 0u32;
-        for len in 1..=self.max_len as usize {
-            code = (code << 1) | r.read_bit()?;
-            if let Some(sym) = self.lookup(code, len) {
-                return Ok(sym);
+        let entry = self.table[r.peek_bits(MSB_TABLE_BITS) as usize];
+        let len = entry & 0xff;
+        if len != 0 && r.consume(len).is_ok() {
+            return Ok((entry >> 8) as u16);
+        }
+        // A code longer than the table, a gap, or the stream tail: try
+        // each length's canonical range on one zero-filled peek.
+        let max_len = u32::from(self.max_len);
+        let window = r.peek_bits(max_len);
+        for len in 1..=max_len {
+            let l = len as usize;
+            let offset = (window >> (max_len - len)).wrapping_sub(self.first_code[l]);
+            if offset < self.count[l] {
+                r.consume(len)?;
+                return Ok(self.symbols[(self.first_index[l] + offset) as usize]);
             }
         }
         Err(CodecError::Corrupt("invalid Huffman code"))
@@ -515,12 +535,7 @@ impl FastDecoder {
     /// over-subscribed sets are rejected, incomplete sets decode to
     /// [`CodecError::Corrupt`] when a gap is hit.
     pub fn from_lengths(lengths: &[u8]) -> Result<Self, CodecError> {
-        let max_len = lengths.iter().copied().max().unwrap_or(0);
-        if max_len > 15 {
-            return Err(CodecError::Corrupt("fast decoder supports ≤ 15-bit codes"));
-        }
-        // Reuse the validation logic (Kraft check) of the slow decoder.
-        HuffmanDecoder::from_lengths(lengths)?;
+        length_counts(lengths, 15)?;
         let codes = canonical_codes(lengths);
 
         let mut primary = vec![FastEntry::default(); 1 << FAST_ROOT_BITS];
@@ -588,28 +603,30 @@ impl FastDecoder {
         Ok(FastDecoder { primary, secondary })
     }
 
+    /// Resolve the code at the bottom of `bits` (stream order, next bit
+    /// lowest) to `(symbol, length)`; length 0 marks a gap of an
+    /// incomplete code. `bits` must hold the next 15 stream bits.
+    #[inline]
+    pub(crate) fn resolve(&self, bits: u64) -> (u16, u32) {
+        let mut entry = self.primary[bits as usize & ((1 << FAST_ROOT_BITS) - 1)];
+        if entry.escape {
+            let sub = (bits >> FAST_ROOT_BITS) as usize & ((1 << entry.len) - 1);
+            entry = self.secondary[entry.sym as usize + sub];
+        }
+        (entry.sym, entry.len as u32)
+    }
+
     /// Decode one symbol from an LSB-first stream.
     #[inline]
     pub fn decode_lsb(&self, r: &mut LsbBitReader<'_>) -> Result<u16, CodecError> {
-        let window = r.peek_bits(FAST_ROOT_BITS) as usize;
-        let entry = self.primary[window];
-        if !entry.escape {
-            if entry.len == 0 {
-                // Unassigned slot: either an incomplete-code gap or a
-                // truncated stream (peek zero-fills past the end).
-                return Err(CodecError::Corrupt("invalid Huffman code"));
-            }
-            r.consume(entry.len as u32)?;
-            return Ok(entry.sym);
-        }
-        let sub_bits = entry.len as u32;
-        let long = r.peek_bits(FAST_ROOT_BITS + sub_bits) as usize;
-        let sub = self.secondary[entry.sym as usize + (long >> FAST_ROOT_BITS)];
-        if sub.len == 0 {
+        // Past the end of input the peek zero-fills: a truncated stream
+        // lands in a gap or fails to consume.
+        let (sym, len) = self.resolve(r.peek_bits(15) as u64);
+        if len == 0 {
             return Err(CodecError::Corrupt("invalid Huffman code"));
         }
-        r.consume(sub.len as u32)?;
-        Ok(sub.sym)
+        r.consume(len)?;
+        Ok(sym)
     }
 }
 
@@ -730,7 +747,8 @@ mod tests {
     fn encode_decode_round_trip_lsb_and_msb() {
         let freqs: Vec<u64> = (0..64u64).map(|i| 1 + (i * 37) % 101).collect();
         let enc = HuffmanEncoder::from_freqs(&freqs, 15);
-        let dec = HuffmanDecoder::from_lengths(enc.lengths()).unwrap();
+        let lsb = FastDecoder::from_lengths(enc.lengths()).unwrap();
+        let msb = HuffmanDecoder::from_lengths(enc.lengths()).unwrap();
 
         let message: Vec<usize> = (0..4096).map(|i| (i * 17 + i / 7) % 64).collect();
 
@@ -746,8 +764,8 @@ mod tests {
         let mut lr = LsbBitReader::new(&lbytes);
         let mut mr = MsbBitReader::new(&mbytes);
         for &sym in &message {
-            assert_eq!(dec.decode_lsb(&mut lr).unwrap() as usize, sym);
-            assert_eq!(dec.decode_msb(&mut mr).unwrap() as usize, sym);
+            assert_eq!(lsb.decode_lsb(&mut lr).unwrap() as usize, sym);
+            assert_eq!(msb.decode_msb(&mut mr).unwrap() as usize, sym);
         }
     }
 
@@ -762,12 +780,12 @@ mod tests {
         // Single 2-bit code: valid (DEFLATE allows it for distances),
         // but a read hitting the unassigned space must error.
         let dec = HuffmanDecoder::from_lengths(&[2]).unwrap();
-        let mut w = LsbBitWriter::new();
+        let mut w = MsbBitWriter::new();
         w.write_bits(0b11, 2); // canonical code for the symbol is 00
         w.write_bits(0, 6);
         let bytes = w.finish();
-        let mut r = LsbBitReader::new(&bytes);
-        assert!(dec.decode_lsb(&mut r).is_err());
+        let mut r = MsbBitReader::new(&bytes);
+        assert!(dec.decode_msb(&mut r).is_err());
     }
 
     #[test]
@@ -783,9 +801,10 @@ mod tests {
     }
 
     #[test]
-    fn fast_decoder_matches_slow_decoder() {
+    fn table_decoders_resolve_codes_on_both_sides_of_the_window() {
         // Skewed frequencies over a large alphabet force code lengths
-        // on both sides of the 10-bit root window.
+        // on both sides of the 10-bit table window: the LSB decoder's
+        // secondary tables and the MSB decoder's bit walk.
         let freqs: Vec<u64> = (0..286u64).map(|i| 1 + (1 << (i % 14))).collect();
         let enc = HuffmanEncoder::from_freqs(&freqs, 15);
         assert!(
@@ -793,21 +812,23 @@ mod tests {
             "need long codes to exercise the secondary tables"
         );
         assert!(enc.lengths().iter().any(|&l| (1..=10).contains(&l)));
-        let slow = HuffmanDecoder::from_lengths(enc.lengths()).unwrap();
-        let fast = FastDecoder::from_lengths(enc.lengths()).unwrap();
+        let lsb = FastDecoder::from_lengths(enc.lengths()).unwrap();
+        let msb = HuffmanDecoder::from_lengths(enc.lengths()).unwrap();
 
         let message: Vec<usize> = (0..20_000).map(|i| (i * 131 + i / 3) % 286).collect();
-        let mut w = LsbBitWriter::new();
+        let mut lw = LsbBitWriter::new();
+        let mut mw = MsbBitWriter::new();
         for &sym in &message {
-            enc.write_lsb(&mut w, sym);
+            enc.write_lsb(&mut lw, sym);
+            enc.write_msb(&mut mw, sym);
         }
-        let bytes = w.finish();
+        let (lbytes, mbytes) = (lw.finish(), mw.finish());
 
-        let mut r1 = LsbBitReader::new(&bytes);
-        let mut r2 = LsbBitReader::new(&bytes);
+        let mut lr = LsbBitReader::new(&lbytes);
+        let mut mr = MsbBitReader::new(&mbytes);
         for &sym in &message {
-            assert_eq!(slow.decode_lsb(&mut r1).unwrap() as usize, sym);
-            assert_eq!(fast.decode_lsb(&mut r2).unwrap() as usize, sym);
+            assert_eq!(lsb.decode_lsb(&mut lr).unwrap() as usize, sym);
+            assert_eq!(msb.decode_msb(&mut mr).unwrap() as usize, sym);
         }
     }
 

@@ -13,7 +13,7 @@ use isobar_codecs::deflate::{adler32, Deflate};
 use isobar_codecs::huffman::{HuffmanDecoder, HuffmanEncoder};
 use isobar_codecs::lz77::{detokenize, Matcher};
 use isobar_codecs::mtf::{mtf_decode, mtf_encode};
-use isobar_codecs::rle::{rle1_decode, rle1_encode, zrle_decode, zrle_encode};
+use isobar_codecs::rle::{rle1_decode, rle1_encode, zrle_decode_bounded, zrle_encode};
 use proptest::prelude::*;
 
 /// Byte vectors with a mix of shapes: uniform, low-entropy (few distinct
@@ -96,7 +96,7 @@ proptest! {
     #[test]
     fn zrle_round_trips(ranks in proptest::collection::vec(0u16..257, 0..2048)) {
         let encoded = zrle_encode(&ranks);
-        prop_assert_eq!(zrle_decode(&encoded), ranks);
+        prop_assert_eq!(zrle_decode_bounded(&encoded, ranks.len()).unwrap(), ranks);
     }
 
     #[test]
