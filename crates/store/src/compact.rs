@@ -239,11 +239,8 @@ fn sweep_unreferenced(dir: &Path, referenced: &[String]) -> Result<usize, StoreE
 mod tests {
     use super::*;
     use crate::sharded::ShardedOptions;
+    use crate::test_dir::TestDir;
     use isobar::Preference;
-
-    fn tmp(name: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("isobar-compact-{}-{name}", std::process::id()))
-    }
 
     fn options() -> IsobarOptions {
         IsobarOptions {
@@ -261,8 +258,7 @@ mod tests {
 
     #[test]
     fn compaction_drops_superseded_and_sweeps_old_segments() {
-        let dir = tmp("drops");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TestDir::new("drops");
         let final_density = payload(16 * 1024, 11);
 
         // Three generations, each superseding density.
@@ -303,13 +299,11 @@ mod tests {
             std::fs::read_dir(&dir).unwrap().count() < segment_files_before,
             "old segments swept"
         );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn compaction_sweeps_orphan_wip_files() {
-        let dir = tmp("orphans");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TestDir::new("orphans");
         let writer =
             ShardedStoreWriter::create(&dir, options(), ShardedOptions::default()).unwrap();
         writer.put(0, "x", payload(8 * 1024, 2), 8).unwrap();
@@ -322,13 +316,11 @@ mod tests {
         assert!(report.files_removed >= 2, "orphans swept: {report:?}");
         let reader = StoreReader::open(&dir).unwrap();
         assert_eq!(reader.get(0, "x").unwrap(), payload(8 * 1024, 2));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn background_compaction_joins_with_a_report() {
-        let dir = tmp("background");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TestDir::new("background");
         for phase in [1u64, 2] {
             let writer =
                 ShardedStoreWriter::create(&dir, options(), ShardedOptions::default()).unwrap();
@@ -345,18 +337,16 @@ mod tests {
             StoreReader::open(&dir).unwrap().get(0, "v").unwrap(),
             payload(8 * 1024, 2)
         );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn compacting_a_single_file_store_is_an_error() {
-        let path = tmp("notadir.isst");
-        let _ = std::fs::remove_file(&path);
+        let scratch = TestDir::new("notadir");
+        let path = scratch.join("store.isst");
         std::fs::write(&path, b"ISST").unwrap();
         assert!(matches!(
             compact_store(&path, None),
             Err(StoreError::Corrupt(_))
         ));
-        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -95,6 +95,10 @@ mod salvage;
 mod sharded;
 mod vfs;
 
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod test_dir;
+
 pub use compact::{compact_store, compact_store_background, compact_store_recorded, CompactReport};
 pub use error::StoreError;
 pub use format::{

@@ -493,15 +493,8 @@ fn record_at(data: &[u8], head_len: usize, m: usize) -> Option<WalkRecord<'_>> {
 mod tests {
     use super::*;
     use crate::format::{CHECKSUM_SEED, TRAILER_LEN};
+    use crate::test_dir::TestDir;
     use isobar_codecs::xxhash::xxh64;
-    use std::path::PathBuf;
-
-    fn tmp(name: &str) -> PathBuf {
-        std::env::temp_dir().join(format!(
-            "isobar-store-salvage-{}-{name}",
-            std::process::id()
-        ))
-    }
 
     fn payload(len: usize, phase: u64) -> Vec<u8> {
         (0..len)
@@ -556,7 +549,8 @@ mod tests {
 
     #[test]
     fn clean_store_fscks_clean() {
-        let path = tmp("clean.isst");
+        let scratch = TestDir::new("clean");
+        let path = scratch.join("store.isst");
         std::fs::write(&path, V2_DEMO).unwrap();
         let report = fsck_store(&path).unwrap();
         assert!(report.is_clean());
@@ -567,14 +561,13 @@ mod tests {
             .entries
             .iter()
             .all(|e| e.health == EntryHealth::Verified));
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn container_damage_is_reported_and_salvaged_around() {
-        let path = tmp("damaged.isst");
-        let out = tmp("damaged-salvaged");
-        let _ = std::fs::remove_dir_all(&out);
+        let scratch = TestDir::new("damaged");
+        let path = scratch.join("store.isst");
+        let out = scratch.join("salvaged");
         let mut entries = demo_entries();
 
         // Flip one byte in the middle of the first entry's container.
@@ -611,15 +604,13 @@ mod tests {
         assert!(!salvage.index_rebuilt);
         entries.remove(0);
         assert_clean_v3(&out, &entries);
-        std::fs::remove_file(&path).unwrap();
-        std::fs::remove_dir_all(&out).unwrap();
     }
 
     #[test]
     fn index_damage_triggers_record_walk_rebuild() {
-        let path = tmp("badindex.isst");
-        let out = tmp("badindex-salvaged");
-        let _ = std::fs::remove_dir_all(&out);
+        let scratch = TestDir::new("badindex");
+        let path = scratch.join("store.isst");
+        let out = scratch.join("salvaged");
 
         // Flip a byte inside the first index entry's name.
         let mut bytes = V2_DEMO.to_vec();
@@ -639,13 +630,12 @@ mod tests {
         assert_eq!(salvage.entries_recovered, 3);
         assert!(salvage.is_complete());
         assert_clean_v3(&out, &demo_entries());
-        std::fs::remove_file(&path).unwrap();
-        std::fs::remove_dir_all(&out).unwrap();
     }
 
     #[test]
     fn index_checksum_damage_is_a_checksum_mismatch_at_index_offset() {
-        let path = tmp("trailersum.isst");
+        let scratch = TestDir::new("trailersum");
+        let path = scratch.join("store.isst");
         let mut bytes = V2_DEMO.to_vec();
         let index_offset = index_offset(&bytes) as u64;
         // Corrupt the stored index checksum itself.
@@ -658,7 +648,6 @@ mod tests {
         }
         // Verification off trusts structure and still opens.
         assert!(StoreReader::open_with_verify(&path, false).is_ok());
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -667,9 +656,9 @@ mod tests {
         // "ISBR" must not yield a phantom record: the reconstructed
         // header will not parse into a record whose container passes a
         // verifying decompress.
-        let path = tmp("falseanchor.isst");
-        let out = tmp("falseanchor-salvaged");
-        let _ = std::fs::remove_dir_all(&out);
+        let scratch = TestDir::new("falseanchor");
+        let path = scratch.join("store.isst");
+        let out = scratch.join("salvaged");
 
         // Break the index so salvage must walk records.
         let mut bytes = V2_DEMO.to_vec();
@@ -684,8 +673,6 @@ mod tests {
         let restored = StoreReader::open(&out).unwrap();
         assert_eq!(restored.get(3, "tricky").unwrap(), tricky());
         assert_clean_v3(&out, &demo_entries());
-        std::fs::remove_file(&path).unwrap();
-        std::fs::remove_dir_all(&out).unwrap();
     }
 
     #[test]
@@ -694,7 +681,7 @@ mod tests {
         assert_eq!(entry_checksum(container), xxh64(container, CHECKSUM_SEED));
     }
 
-    fn write_demo_v3(dir: &PathBuf, generations: u32) -> Vec<u8> {
+    fn write_demo_v3(dir: &Path, generations: u32) -> Vec<u8> {
         let mut last = Vec::new();
         for g in 0..generations {
             let writer = ShardedStoreWriter::create(
@@ -719,8 +706,7 @@ mod tests {
 
     #[test]
     fn v3_store_fscks_clean_and_counts_supersedes() {
-        let dir = tmp("v3-clean");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TestDir::new("v3-clean");
         write_demo_v3(&dir, 2);
         let report = fsck_store(&dir).unwrap();
         assert!(report.is_clean(), "{report:?}");
@@ -728,13 +714,11 @@ mod tests {
         assert_eq!(report.entries.len(), 4, "both generations enumerated");
         assert_eq!(report.superseded_entries, 2);
         assert_eq!(report.orphan_files, 0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn v3_fsck_counts_orphan_droppings() {
-        let dir = tmp("v3-orphans");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TestDir::new("v3-orphans");
         write_demo_v3(&dir, 1);
         // A crashed writer's droppings: an unreferenced sealed segment
         // and a torn .wip journal.
@@ -743,15 +727,13 @@ mod tests {
         let report = fsck_store(&dir).unwrap();
         assert!(report.is_clean(), "orphans are not damage");
         assert_eq!(report.orphan_files, 2);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn v3_salvage_falls_back_to_superseded_version_of_damaged_entry() {
-        let dir = tmp("v3-fallback");
-        let out = tmp("v3-fallback-out");
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&out);
+        let scratch = TestDir::new("v3-fallback");
+        let dir = scratch.join("store");
+        let out = scratch.join("salvaged");
         write_demo_v3(&dir, 2);
 
         // Damage the *live* (generation-1) version of "density" on
@@ -797,16 +779,13 @@ mod tests {
             "fell back to the superseded version at offset {}",
             old.offset
         );
-        std::fs::remove_dir_all(&dir).unwrap();
-        std::fs::remove_dir_all(&out).unwrap();
     }
 
     #[test]
     fn v3_salvage_rebuilds_from_segments_when_manifest_is_gone() {
-        let dir = tmp("v3-nomanifest");
-        let out = tmp("v3-nomanifest-out");
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&out);
+        let scratch = TestDir::new("v3-nomanifest");
+        let dir = scratch.join("store");
+        let out = scratch.join("salvaged");
         let newest_density = write_demo_v3(&dir, 2);
         let segment_files = std::fs::read_dir(&dir)
             .unwrap()
@@ -838,7 +817,5 @@ mod tests {
             newest_density,
             "newest generation wins the walk"
         );
-        std::fs::remove_dir_all(&dir).unwrap();
-        std::fs::remove_dir_all(&out).unwrap();
     }
 }

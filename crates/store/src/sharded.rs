@@ -649,11 +649,8 @@ where
 mod tests {
     use super::*;
     use crate::reader::StoreReader;
+    use crate::test_dir::TestDir;
     use isobar::Preference;
-
-    fn tmp(name: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("isobar-sharded-{}-{name}", std::process::id()))
-    }
 
     fn options() -> IsobarOptions {
         IsobarOptions {
@@ -671,8 +668,7 @@ mod tests {
 
     #[test]
     fn sharded_round_trip_across_shards() {
-        let dir = tmp("roundtrip");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TestDir::new("roundtrip");
         let writer = ShardedStoreWriter::create(
             &dir,
             options(),
@@ -700,13 +696,11 @@ mod tests {
         for (step, name, data) in &vars {
             assert_eq!(&reader.get(*step, name).unwrap(), data);
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn second_generation_appends_and_supersedes() {
-        let dir = tmp("generations");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TestDir::new("generations");
         let first = payload(8 * 1024, 1);
         let second = payload(8 * 1024, 9);
 
@@ -730,13 +724,11 @@ mod tests {
         let reader = StoreReader::open(&dir).unwrap();
         assert_eq!(reader.get(0, "density").unwrap(), second, "last put wins");
         assert_eq!(reader.steps(), vec![0, 1]);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn concurrent_producers_share_one_writer() {
-        let dir = tmp("concurrent");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TestDir::new("concurrent");
         let writer = ShardedStoreWriter::create(
             &dir,
             options(),
@@ -774,13 +766,11 @@ mod tests {
                 );
             }
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn dropped_writer_leaves_no_wip_droppings() {
-        let dir = tmp("dropped");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TestDir::new("dropped");
         let writer =
             ShardedStoreWriter::create(&dir, options(), ShardedOptions::default()).unwrap();
         writer.put(0, "x", payload(4 * 1024, 2), 8).unwrap();
@@ -788,13 +778,11 @@ mod tests {
         let leftovers: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
         assert!(leftovers.is_empty(), "found {leftovers:?}");
         assert!(StoreReader::open(&dir).is_err(), "nothing was committed");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn telemetry_reports_commit_and_puts() {
-        let dir = tmp("telemetry");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TestDir::new("telemetry");
         let writer =
             ShardedStoreWriter::create(&dir, options(), ShardedOptions::default()).unwrap();
         writer.put(0, "a", payload(8 * 1024, 1), 8).unwrap();
@@ -806,13 +794,11 @@ mod tests {
             assert!(report.telemetry.counter(Counter::StoreManifestBytes) > 0);
             assert!(report.telemetry.counter(Counter::StoreSegmentsCommitted) >= 1);
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn oversized_names_are_rejected_up_front() {
-        let dir = tmp("longname");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TestDir::new("longname");
         let writer =
             ShardedStoreWriter::create(&dir, options(), ShardedOptions::default()).unwrap();
         let long = "x".repeat(u16::MAX as usize + 1);
@@ -821,6 +807,5 @@ mod tests {
             Err(StoreError::NameTooLong(_))
         ));
         drop(writer);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -142,12 +142,13 @@ impl StoreFs for RealFs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_dir::TestDir;
 
     #[test]
     fn real_fs_write_sync_rename_cycle() {
-        let dir = std::env::temp_dir();
-        let wip = dir.join(format!("isobar-vfs-{}.wip", std::process::id()));
-        let fin = dir.join(format!("isobar-vfs-{}.dat", std::process::id()));
+        let dir = TestDir::new("vfs");
+        let wip = dir.join("file.wip");
+        let fin = dir.join("file.dat");
         let fs = RealFs;
         let mut f = fs.create(&wip).unwrap();
         f.write_all(b"hello").unwrap();

@@ -4,27 +4,18 @@
 //! `docs/FORMAT.md`. Companion to `crates/isobar/tests/corrupt_corpus.rs`,
 //! which covers the embedded container and stream formats.
 
+mod common;
+
+use common::TestDir;
 use isobar::telemetry::{Counter, ENABLED};
 use isobar::Recorder;
 use isobar_codecs::xxhash::xxh64;
 use isobar_store::{StoreError, StoreReader, TRAILER_LEN};
-use std::path::PathBuf;
 
 /// A small, valid, closed version-2 store with two variables, `u` at
 /// step 0 and `v` at step 1, each holding `demo_data(700)` — written by
 /// an earlier release with Speed preference and 512-element chunks.
 const PRISTINE: &[u8] = include_bytes!("fixtures/v2_corpus.isst");
-
-/// A scratch path unique to one specimen. Every test passes its own
-/// `name`, so parallel tests never share a file.
-fn tmp(name: &str) -> PathBuf {
-    let mut dir = std::env::temp_dir();
-    dir.push(format!(
-        "isobar-corrupt-corpus-{}-{name}.isst",
-        std::process::id()
-    ));
-    dir
-}
 
 fn demo_data(elements: usize) -> Vec<u8> {
     (0..elements as u64)
@@ -35,12 +26,12 @@ fn demo_data(elements: usize) -> Vec<u8> {
 /// Write `bytes` to a scratch file, open it through the telemetry
 /// entry point, and return the error plus the rejection count.
 fn open_corrupt(name: &str, bytes: &[u8]) -> (StoreError, u64) {
-    let path = tmp(name);
+    let dir = TestDir::new(name);
+    let path = dir.join("store.isst");
     std::fs::write(&path, bytes).expect("write specimen");
     let mut recorder = Recorder::new();
     let err = StoreReader::open_recorded(&path, &mut recorder)
         .expect_err("corrupt specimen must be rejected");
-    let _ = std::fs::remove_file(&path);
     (
         err,
         recorder.snapshot().counter(Counter::StoreCorruptRejected),
@@ -145,7 +136,8 @@ fn store_entry_range_outside_data_region() {
     assert!(err.is_checksum_mismatch(), "got {err:?}");
     // …and the structural range check still catches it when
     // verification is off.
-    let path = tmp("entry-range-noverify");
+    let dir = TestDir::new("entry-range-noverify");
+    let path = dir.join("store.isst");
     std::fs::write(&path, &bad).expect("write specimen");
     let err = StoreReader::open_with_verify(&path, false)
         .expect_err("range check is structural, not checksum-dependent");
@@ -153,7 +145,6 @@ fn store_entry_range_outside_data_region() {
         matches!(err, StoreError::Corrupt("entry range outside data region")),
         "got {err:?}"
     );
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -181,7 +172,8 @@ fn store_corrupt_variable_payload_counts_rejection() {
     // surface the embedded container's typed error through `get` and
     // bump the store-side rejection counter.
     let s = PRISTINE;
-    let path = tmp("payload");
+    let dir = TestDir::new("payload");
+    let path = dir.join("store.isst");
     std::fs::write(&path, s).expect("write specimen");
     // Locate the first variable's container through the intact index
     // and stomp its magic byte.
@@ -212,7 +204,6 @@ fn store_corrupt_variable_payload_counts_rejection() {
         .get(0, "u")
         .expect_err("decoder still rejects the stomped magic");
     assert!(matches!(err, StoreError::Isobar(_)), "got {err:?}");
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -222,10 +213,10 @@ fn intact_store_round_trips() {
         0x5c23_f4df_7922_5542,
         "fixture bytes changed"
     );
-    let path = tmp("roundtrip");
+    let dir = TestDir::new("roundtrip");
+    let path = dir.join("store.isst");
     std::fs::write(&path, PRISTINE).expect("write");
     let reader = StoreReader::open(&path).expect("pristine store opens");
     assert_eq!(reader.get(0, "u").expect("u decodes"), demo_data(700));
     assert_eq!(reader.get(1, "v").expect("v decodes"), demo_data(700));
-    let _ = std::fs::remove_file(&path);
 }

@@ -4,13 +4,11 @@
 //! `docs/FORMAT.md` — no store code on the read side — so the spec
 //! cannot silently drift from what `ShardedStoreWriter` emits.
 
+mod common;
+
+use common::TestDir;
 use isobar::IsobarOptions;
 use isobar_store::{ShardedOptions, ShardedStoreWriter};
-use std::path::PathBuf;
-
-fn tmp(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("isobar-v3-golden-{}-{name}", std::process::id()))
-}
 
 fn u16_at(b: &[u8], at: usize) -> u16 {
     u16::from_le_bytes(b[at..at + 2].try_into().unwrap())
@@ -26,8 +24,7 @@ fn u64_at(b: &[u8], at: usize) -> u64 {
 
 #[test]
 fn v3_store_matches_documented_offsets() {
-    let dir = tmp("offsets");
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TestDir::new("v3-golden-offsets");
     let payload: Vec<u8> = (0..4096u32)
         .flat_map(|i| (i as u64).to_le_bytes())
         .collect();
@@ -129,6 +126,4 @@ fn v3_store_matches_documented_offsets() {
         isobar_codecs::xxhash::xxh64(&man[..pos], 0)
     );
     assert_eq!(&man[man.len() - 4..], b"ISMX");
-
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -7,6 +7,9 @@
 //! tests keep proving back-compat even after the current writer moves
 //! on.
 
+mod common;
+
+use common::TestDir;
 use isobar::container::{ChunkMode, ChunkRecord, Header, LEGACY_VERSION as CONTAINER_V1};
 use isobar::Linearization;
 use isobar_codecs::{codec_for, CodecId, CompressionLevel};
@@ -14,11 +17,6 @@ use isobar_store::{
     fsck_store, EntryHealth, IndexEntry, StoreReader, LEGACY_VERSION, MAGIC, TRAILER_MAGIC,
     TRAILER_V1_LEN,
 };
-use std::path::PathBuf;
-
-fn tmp(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("isobar-legacy-store-{}-{name}", std::process::id()))
-}
 
 /// A v1 (pre-checksum) ISOBAR container holding bytes 0..128.
 fn legacy_container() -> (Vec<u8>, Vec<u8>) {
@@ -128,7 +126,8 @@ fn legacy_store_bytes_are_bit_stable() {
 #[test]
 fn legacy_store_still_opens_and_decodes() {
     let (bytes, original) = legacy_store_bytes();
-    let path = tmp("decode.isst");
+    let dir = TestDir::new("legacy-decode");
+    let path = dir.join("store.isst");
     std::fs::write(&path, &bytes).unwrap();
     // The default, verifying open must accept a v1 store: there are no
     // checksums to verify, not a verification failure.
@@ -141,13 +140,13 @@ fn legacy_store_still_opens_and_decodes() {
         "v1 entries surface checksum 0"
     );
     assert_eq!(reader.get(0, "density").unwrap(), original);
-    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
 fn legacy_store_fsck_reports_legacy_unverifiable() {
     let (bytes, _) = legacy_store_bytes();
-    let path = tmp("fsck.isst");
+    let dir = TestDir::new("legacy-fsck");
+    let path = dir.join("store.isst");
     std::fs::write(&path, &bytes).unwrap();
     let report = fsck_store(&path).unwrap();
     assert!(report.is_clean(), "structurally sound v1 store is clean");
@@ -158,7 +157,6 @@ fn legacy_store_fsck_reports_legacy_unverifiable() {
         EntryHealth::LegacyUnverifiable,
         "v1 container in a v1 store has nothing to verify against"
     );
-    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
@@ -166,7 +164,8 @@ fn legacy_store_damage_is_still_detected_structurally() {
     // No checksums — but a stomped container magic still fails the
     // embedded decoder, and fsck still calls the entry damaged.
     let (bytes, _) = legacy_store_bytes();
-    let path = tmp("damage.isst");
+    let dir = TestDir::new("legacy-damage");
+    let path = dir.join("store.isst");
     let mut bad = bytes.clone();
     // Container starts right after head (5) + record header (2+7+4+1+8).
     let container_at = 5 + 2 + 7 + 4 + 1 + 8;
@@ -177,5 +176,4 @@ fn legacy_store_damage_is_still_detected_structurally() {
     let report = fsck_store(&path).unwrap();
     assert!(!report.is_clean());
     assert_eq!(report.entries[0].health, EntryHealth::Damaged);
-    std::fs::remove_file(&path).unwrap();
 }

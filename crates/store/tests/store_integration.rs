@@ -3,21 +3,17 @@
 //! variable, plus the read-only single-file (version-2) format that
 //! earlier releases wrote, read back from a committed fixture.
 
+mod common;
+
+use common::TestDir;
 use isobar::{EupaSelector, IsobarOptions, Preference};
 use isobar_codecs::xxhash::xxh64;
 use isobar_datasets::catalog;
 use isobar_store::{ShardedOptions, ShardedStoreWriter, StoreError, StoreReader, VERSION};
-use std::path::PathBuf;
 
 /// A version-2 single-file store written by an earlier release (see
 /// [`v2_demo_entries`] for its contents).
 const V2_DEMO: &[u8] = include_bytes!("fixtures/v2_demo.isst");
-
-fn tmp(name: &str) -> PathBuf {
-    let mut dir = std::env::temp_dir();
-    dir.push(format!("isobar-store-test-{}-{name}", std::process::id()));
-    dir
-}
 
 fn options() -> IsobarOptions {
     IsobarOptions {
@@ -32,10 +28,9 @@ fn options() -> IsobarOptions {
     }
 }
 
-/// A fresh version-3 store directory at `tmp(name)`.
-fn create(name: &str) -> (PathBuf, ShardedStoreWriter) {
-    let dir = tmp(name);
-    let _ = std::fs::remove_dir_all(&dir);
+/// A fresh version-3 store in a test directory of its own.
+fn create(name: &str) -> (TestDir, ShardedStoreWriter) {
+    let dir = TestDir::new(name);
     let writer = ShardedStoreWriter::create(
         &dir,
         options(),
@@ -75,7 +70,8 @@ fn v2_demo_fixture_is_pinned_and_decodes_bit_exactly() {
         0x63a9_7c20_79ba_c3d4,
         "fixture bytes changed"
     );
-    let path = tmp("v2-demo.isst");
+    let dir = TestDir::new("v2-demo");
+    let path = dir.join("store.isst");
     std::fs::write(&path, V2_DEMO).unwrap();
     let reader = StoreReader::open(&path).unwrap();
     assert_eq!(reader.version(), VERSION);
@@ -91,7 +87,6 @@ fn v2_demo_fixture_is_pinned_and_decodes_bit_exactly() {
         reader.get(1, "density"),
         Err(StoreError::NotFound { .. })
     ));
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -125,8 +120,6 @@ fn checkpoint_run_round_trips_every_variable() {
     for (step, name, bytes) in originals.iter().rev() {
         assert_eq!(&reader.get(*step, name).unwrap(), bytes, "{name}@{step}");
     }
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -142,7 +135,6 @@ fn mixed_widths_per_variable() {
     assert_eq!(reader.entry(0, "temp").unwrap().width, 4);
     assert_eq!(reader.get(0, "velx").unwrap(), doubles.bytes);
     assert_eq!(reader.get(0, "temp").unwrap(), floats.bytes);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -159,7 +151,6 @@ fn missing_variables_are_not_found() {
         reader.get(9, "present"),
         Err(StoreError::NotFound { .. })
     ));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -173,16 +164,15 @@ fn unclosed_store_is_rejected() {
         StoreReader::open(&dir),
         Err(StoreError::Corrupt(_))
     ));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn truncated_store_is_rejected() {
+    let dir = TestDir::new("trunc");
     for cut in [0usize, 4, V2_DEMO.len() / 2, V2_DEMO.len() - 1] {
-        let cut_path = tmp(&format!("trunc-{cut}.isst"));
+        let cut_path = dir.join(format!("trunc-{cut}.isst"));
         std::fs::write(&cut_path, &V2_DEMO[..cut]).unwrap();
         assert!(StoreReader::open(&cut_path).is_err(), "cut {cut}");
-        let _ = std::fs::remove_file(&cut_path);
     }
 }
 
@@ -194,7 +184,6 @@ fn empty_store_round_trips() {
     assert!(reader.entries().is_empty());
     assert!(reader.steps().is_empty());
     assert_eq!(reader.overall_ratio(), 1.0);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -202,12 +191,11 @@ fn store_telemetry_accounts_for_every_byte() {
     use isobar::telemetry::{Counter, ENABLED};
 
     let ds = catalog::spec("gts_chkp_zion").unwrap().generate(25_000, 7);
-    let (dir, writer) = create("telemetry");
+    let (_dir, writer) = create("telemetry");
     writer.put(0, "zion", ds.bytes.clone(), 8).unwrap();
     writer.put(1, "zion", ds.bytes.clone(), 8).unwrap();
     let report = writer.close().unwrap();
     let snap = report.telemetry;
-    let _ = std::fs::remove_dir_all(&dir);
 
     if !ENABLED {
         assert!(snap.is_empty());
@@ -248,5 +236,4 @@ fn reader_is_shareable_across_threads() {
     for h in handles {
         h.join().unwrap();
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -12,6 +12,9 @@
 //! beat the panic) or reports the closed channel; `close()` must
 //! answer `Corrupt` either way.
 
+mod common;
+
+use common::TestDir;
 use isobar::IsobarOptions;
 use isobar_store::{
     RealFile, RealFs, ShardedOptions, ShardedStoreWriter, StoreError, StoreFile, StoreFs,
@@ -78,13 +81,6 @@ impl StoreFs for PanickingFs {
     }
 }
 
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("isobar-worker-panic-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 fn panicking_writer(dir: &Path) -> ShardedStoreWriter<PanickingFs> {
     ShardedStoreWriter::create_in(
         PanickingFs,
@@ -100,7 +96,7 @@ fn panicking_writer(dir: &Path) -> ShardedStoreWriter<PanickingFs> {
 
 #[test]
 fn close_reports_worker_panic_as_typed_error() {
-    let dir = scratch_dir("close");
+    let dir = TestDir::new("worker-panic-close");
     let writer = panicking_writer(&dir);
 
     // The put itself only enqueues; the panic fires asynchronously in
@@ -134,13 +130,11 @@ fn close_reports_worker_panic_as_typed_error() {
         leftovers.is_empty(),
         "wip segments left behind: {leftovers:?}"
     );
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn drop_after_worker_panic_is_silent() {
-    let dir = scratch_dir("drop");
+    let dir = TestDir::new("worker-panic-drop");
     let writer = panicking_writer(&dir);
     let _ = writer.put(0, "field", vec![7u8; 4096], 8);
     // Give the I/O thread a moment to actually hit the injected panic
@@ -150,5 +144,4 @@ fn drop_after_worker_panic_is_silent() {
     // the worker's panic into this thread.
     drop(writer);
     assert!(!dir.join("MANIFEST").exists());
-    let _ = std::fs::remove_dir_all(&dir);
 }
