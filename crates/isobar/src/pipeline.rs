@@ -488,10 +488,11 @@ impl IsobarCompressor {
         let width = header.width as usize;
         let codec = codec_for(header.codec, header.level);
 
-        // Parse all chunk records up front (cheap: payloads are
-        // borrowed-range copies), so the decode stage can go parallel.
-        // Each record keeps its byte offset so decode-stage failures can
-        // point back into the container.
+        // Parse all chunk records up front, so the decode stage can go
+        // parallel. Not free: each record owns copies of its compressed
+        // and incompressible payloads (`ChunkRecord::read_bounded`
+        // copies both). Each record keeps its byte offset so
+        // decode-stage failures can point back into the container.
         let mut records: Vec<(u64, ChunkRecord)> = Vec::new();
         let mut cursor = &data[HEADER_LEN..];
         let mut offset = HEADER_LEN as u64;
